@@ -69,13 +69,13 @@ def _design_for_config(cfg: harness.ExperimentConfig):
     channels = cfg.channels or recommend_quantizers(model)
     if cfg.levels is not None:
         levels = cfg.levels
+        if levels < 2:
+            raise ConfigError("[design] levels: at least 2 levels required")
     elif cfg.rate_bits is not None:
-        levels = int(np.floor(2.0 ** (cfg.rate_bits / channels)))
+        levels = harness.levels_for(cfg.rate_bits, channels)
     else:
         raise ConfigError("[design] levels or rate_bits: one is required")
-    if levels < 2:
-        raise ConfigError("[design] levels: at least 2 levels required")
-    scale = min(cfg.support_scale, 0.95 * np.sqrt(3.0) * levels)
+    scale = harness.feasible_support_scale(cfg.support_scale, levels)
     return scenario, design_pipeline(model, channels, levels, scale)
 
 

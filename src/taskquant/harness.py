@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import sys
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -34,6 +35,8 @@ __all__ = [
     "build_scenario",
     "derive_seed",
     "stream",
+    "levels_for",
+    "feasible_support_scale",
     "simulate_mse",
     "simulate_ber",
     "sweep",
@@ -156,7 +159,7 @@ def build_scenario(config: ExperimentConfig) -> scenarios.ScenarioSpec:
     return spec
 
 
-def _feasible_support_scale(requested: float, levels: int) -> float:
+def feasible_support_scale(requested: float, levels: int) -> float:
     """Largest usable std multiple: the support rule breaks at sqrt(3) * levels."""
     return min(requested, 0.95 * math.sqrt(3.0) * levels)
 
@@ -171,8 +174,14 @@ def _support_scale_at(config: ExperimentConfig, bits: float) -> float:
     return lo + (hi - lo) * (bits - g0) / (g1 - g0)
 
 
-def _levels_for(bits: float, channels: int, floor_at_two: bool = False) -> int:
-    levels = int(math.floor(2.0 ** (bits / channels)))
+def levels_for(bits: float, channels: int, floor_at_two: bool = False) -> int:
+    """Most levels per quantizer that `bits` over `channels` quantizers buys.
+
+    A budget computed as channels * log2(L) maps back to exactly L: the
+    tolerance forgives the rounding that leaves 2^(bits/channels) just below
+    the integer L (at 8 channels, 5 levels would otherwise come back as 4).
+    """
+    levels = int(math.floor(2.0 ** (bits / channels) + 1e-9))
     if levels < 2:
         if not floor_at_two:
             raise ConfigError(
@@ -205,13 +214,45 @@ def _support_for_combiner(analog, model: LinearTaskModel, support_scale: float,
     return float(np.sqrt(margin * var.max()))
 
 
-def _mse_predictor(config: ExperimentConfig, scenario, bits: float):
-    """Build the per-grid-point predictor (X, rng) -> task estimates.
+def _squared_errors(scenario, predict, combiner=None):
+    """Block function (rng, count) -> per-trial squared task error.
 
-    Returns (predictor, design-or-spec, realized total bits); the realized
-    budget can fall below the nominal one when 2^bits is not a perfect power
-    of the quantizer count, and exceed it for the per-dimension baseline
-    whose levels floor at two.
+    With a combiner, the scenario's sampler hands `predict` the combined
+    observations instead of the raw ones.
+    """
+    def block(rng, count):
+        if combiner is None:
+            tasks, obs = scenario.sampler(rng, count)
+        else:
+            tasks, obs = scenario.sampler(rng, count, combiner=combiner)
+        return ((tasks - predict(obs, rng)) ** 2).sum(axis=1)
+
+    return block
+
+
+def _design_errors(scenario, des: QuantizerDesign, dither: bool):
+    """Per-trial squared errors of a designed pipeline with its fixed combiner.
+
+    Gaussian linear scenarios draw (task, A x) jointly, so the n-dimensional
+    observation is never built; quadratic scenarios run through the lift.
+    """
+    if scenario.kind == "quadratic":
+        lifted = scenario.lifted
+        return _squared_errors(scenario, lambda x, rng: lifted.estimate(
+            des, x, rng=rng, dither=dither))
+    return _squared_errors(
+        scenario,
+        lambda y, rng: estimate(des, y, rng=rng, dither=dither, combined=True),
+        combiner=des.analog)
+
+
+def _mse_predictor(config: ExperimentConfig, scenario, bits: float):
+    """Build the per-grid-point block function (rng, count) -> squared errors.
+
+    Returns (block function, design-or-spec, realized total bits); the
+    realized budget can fall below the nominal one when 2^bits is not a
+    perfect power of the quantizer count, and exceed it for the
+    per-dimension baseline whose levels floor at two.
     """
     method = config.method
     quadratic = scenario.kind == "quadratic"
@@ -220,33 +261,27 @@ def _mse_predictor(config: ExperimentConfig, scenario, bits: float):
 
     if method in ("task_based", "quadratic"):
         channels = config.channels or recommend_quantizers(model)
-        levels = _levels_for(bits, channels)
+        levels = levels_for(bits, channels)
         des = design(model, channels, levels,
-                     _feasible_support_scale(scale, levels))
-        realized = channels * math.log2(levels)
-        if quadratic:
-            lifted = scenario.lifted
-            return (lambda x, rng: lifted.estimate(des, x, rng=rng,
-                                                   dither=config.dither),
-                    des, realized)
-        return (lambda x, rng: estimate(des, x, rng=rng, dither=config.dither),
-                des, realized)
+                     feasible_support_scale(scale, levels))
+        return (_design_errors(scenario, des, config.dither), des,
+                channels * math.log2(levels))
 
     if method == "constrained":
         if quadratic:
             raise ConfigError("[sweep] method: constrained applies to linear scenarios")
         channels = config.channels or recommend_quantizers(model)
-        levels = _levels_for(bits, channels)
+        levels = levels_for(bits, channels)
         des = constrained_design(model, _parse_constraint(config, model.n),
                                  channels, levels,
-                                 _feasible_support_scale(scale, levels))
-        return (lambda x, rng: estimate(des, x, rng=rng, dither=config.dither),
-                des, channels * math.log2(levels))
+                                 feasible_support_scale(scale, levels))
+        return (_design_errors(scenario, des, config.dither), des,
+                channels * math.log2(levels))
 
     if method == "mmse_then_quantize":
         channels = model.k if not quadratic else scenario.k
-        levels = _levels_for(bits, channels)
-        scale = _feasible_support_scale(scale, levels)
+        levels = levels_for(bits, channels)
+        scale = feasible_support_scale(scale, levels)
         realized = channels * math.log2(levels)
         if quadratic:
             task = scenario.task
@@ -255,32 +290,32 @@ def _mse_predictor(config: ExperimentConfig, scenario, bits: float):
                             lifted.model.obs_cov, lifted.model.task_matrix)
             support = scale * float((np.sqrt(var) + np.abs(lifted.offsets)).max())
             spec = UniformQuantizerSpec(levels, support, dithered=True)
-            return (lambda x, rng: _quantize_batch(task.values(x), spec, rng,
-                                                   config.dither),
-                    spec, realized)
+            return (_squared_errors(scenario, lambda x, rng: _quantize_batch(
+                task.values(x), spec, rng, config.dither)), spec, realized)
         analog = model.task_matrix
         support = _support_for_combiner(analog, model, scale, levels)
         des = _pipeline_design(analog, model, support, levels)
-        return (lambda x, rng: estimate(des, x, rng=rng, dither=config.dither),
-                des, realized)
+        return _design_errors(scenario, des, config.dither), des, realized
 
     if method == "digital_only":
         if quadratic:
             task = scenario.task
-            levels = _levels_for(bits, task.n, floor_at_two=True)
-            scale = _feasible_support_scale(scale, levels)
+            levels = levels_for(bits, task.n, floor_at_two=True)
+            scale = feasible_support_scale(scale, levels)
             support = scale * float(np.sqrt(np.diag(task.input_cov)).max())
             spec = UniformQuantizerSpec(levels, support, dithered=True)
-            return (lambda x, rng: task.values(
-                _quantize_batch(x, spec, rng, config.dither)),
+            return (_squared_errors(scenario, lambda x, rng: task.values(
+                _quantize_batch(x, spec, rng, config.dither))),
                 spec, task.n * math.log2(levels))
-        levels = _levels_for(bits, model.n)
-        scale = _feasible_support_scale(scale, levels)
+        levels = levels_for(bits, model.n)
+        scale = feasible_support_scale(scale, levels)
         analog = np.eye(model.n)
         support = _support_for_combiner(analog, model, scale, levels)
         des = _pipeline_design(analog, model, support, levels)
-        return (lambda x, rng: estimate(des, x, rng=rng, dither=config.dither),
-                des, model.n * math.log2(levels))
+        # A = I: the joint draw would save nothing, so sample x itself
+        return (_squared_errors(scenario, lambda x, rng: estimate(
+            des, x, rng=rng, dither=config.dither)),
+            des, model.n * math.log2(levels))
 
     raise ConfigError(f"[sweep] method: {method!r} does not produce MSE rows")
 
@@ -304,37 +339,36 @@ def _parse_constraint(config: ExperimentConfig, n: int):
     raise ConfigError(f"[design] constraint: unknown kind {kind!r}")
 
 
-def _collect_mse(predict, scenario, trials: int, seed: int):
-    errors = np.empty(trials)
-    done = 0
-    block_idx = 0
-    while done < trials:
+def _monte_carlo(block, trials: int, seed: int):
+    """Mean and standard error of per-trial values over seeded trial blocks.
+
+    block(rng, count) returns one value per trial. Block b draws from
+    SeedSequence([seed, b]); each block is reduced to (count, mean, M2) and
+    merged in block order (Chan, Golub & LeVeque 1983), so memory stays
+    O(block) however many trials run. One trial has no standard error (nan).
+    """
+    done, mean, m2 = 0, 0.0, 0.0
+    for idx in range(-(-trials // _BLOCK)):
         count = min(_BLOCK, trials - done)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, block_idx]))
-        tasks, obs = scenario.sampler(rng, count)
-        predicted = predict(obs, rng)
-        errors[done:done + count] = ((tasks - predicted) ** 2).sum(axis=1)
-        done += count
-        block_idx += 1
-    est = float(errors.mean())
-    se = float(errors.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("nan")
-    return est, se
+        rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
+        values = block(rng, count)
+        block_mean = float(values.mean())
+        block_m2 = float(((values - block_mean) ** 2).sum())
+        total = done + count
+        delta = block_mean - mean
+        mean += delta * count / total
+        m2 += block_m2 + delta * delta * done * count / total
+        done = total
+    se = math.sqrt(m2 / (done - 1) / done) if done > 1 else float("nan")
+    return mean, se
 
 
 def simulate_mse(design_: QuantizerDesign, scenario, trials: int, seed: int,
                  dither: bool = True) -> ResultRow:
     """Empirical total MSE of a designed pipeline on a scenario."""
-    if scenario.kind == "quadratic":
-        lifted = scenario.lifted
-
-        def predict(x, rng):
-            return lifted.estimate(design_, x, rng=rng, dither=dither)
-    else:
-        def predict(x, rng):
-            return estimate(design_, x, rng=rng, dither=dither)
-
     start = time.perf_counter()
-    est, se = _collect_mse(predict, scenario, trials, seed)
+    est, se = _monte_carlo(_design_errors(scenario, design_, dither), trials,
+                           seed)
     elapsed = (time.perf_counter() - start) * 1000.0
     return ResultRow(axis=float("nan"), method="task_based", metric="mse",
                      estimate=est, std_error=se, trials=trials,
@@ -344,24 +378,15 @@ def simulate_mse(design_: QuantizerDesign, scenario, trials: int, seed: int,
 def simulate_ber(detector, scenario, trials: int, seed: int) -> ResultRow:
     """Empirical bit error rate of a labels-from-observations detector."""
     k = scenario.k
-    fractions = np.empty(trials)
-    done = 0
-    block_idx = 0
-    start = time.perf_counter()
-    while done < trials:
-        count = min(_BLOCK, trials - done)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, block_idx]))
+
+    def block(rng, count):
         symbols, obs = scenario.sampler(rng, count)
         truth = scenarios.symbols_to_labels(symbols)
-        predicted = detector(obs)
-        diff = np.bitwise_xor(np.asarray(predicted, dtype=int), truth)
-        bits = sum(((diff >> b) & 1) for b in range(k))
-        fractions[done:done + count] = bits / k
-        done += count
-        block_idx += 1
-    est = float(fractions.mean())
-    se = (float(fractions.std(ddof=1) / math.sqrt(trials))
-          if trials > 1 else float("nan"))
+        diff = np.bitwise_xor(np.asarray(detector(obs), dtype=int), truth)
+        return sum(((diff >> b) & 1) for b in range(k)) / k
+
+    start = time.perf_counter()
+    est, se = _monte_carlo(block, trials, seed)
     elapsed = (time.perf_counter() - start) * 1000.0
     return ResultRow(axis=float("nan"), method="map", metric="ber",
                      estimate=est, std_error=se, trials=trials,
@@ -395,8 +420,8 @@ def sweep(config: ExperimentConfig, verbose: bool = False):
             if config.method == "deep":
                 row = _deep_mse_row(config, scenario, value, seed)
             else:
-                predict, _, realized = _mse_predictor(config, scenario, value)
-                est, se = _collect_mse(predict, scenario, config.trials, seed)
+                block, _, realized = _mse_predictor(config, scenario, value)
+                est, se = _monte_carlo(block, config.trials, seed)
                 row = ResultRow(axis=value, method=config.method, metric="mse",
                                 estimate=est, std_error=se, trials=config.trials)
         else:
@@ -408,7 +433,8 @@ def sweep(config: ExperimentConfig, verbose: bool = False):
             budget = ("" if realized is None
                       else f" [realized {realized:g}/{value:g} bits]")
             print(f"{config.method} @ {value:g}: {row.metric}="
-                  f"{row.estimate:.6g} (se {row.std_error:.2g}){budget}")
+                  f"{row.estimate:.6g} (se {row.std_error:.2g}){budget}",
+                  file=sys.stderr)
     if (config.axis == "rate_bits" and config.include_bound
             and scenario.kind == "linear" and scenario.model is not None):
         for value in config.grid:
@@ -439,9 +465,9 @@ def _snr_row(config: ExperimentConfig, scenario, snr_db: float,
         row = simulate_ber(lambda x: scenarios.map_detect(x, point), point,
                            config.trials, seed)
     elif config.method == "quantized_map":
-        levels = _levels_for(bits, point.n, floor_at_two=True)
+        levels = levels_for(bits, point.n, floor_at_two=True)
         std = np.sqrt(np.diag(point.mixing @ point.mixing.T) + point.noise_var)
-        support = _feasible_support_scale(config.support_scale, levels) * std.max()
+        support = feasible_support_scale(config.support_scale, levels) * std.max()
         row = simulate_ber(
             lambda x: scenarios.quantized_map_detect(x, point, levels, support),
             point, config.trials, seed)
@@ -462,7 +488,7 @@ def train_deep_estimator(scenario, total_bits: float, channels: Optional[int],
                          settings: TrainSettings, seed: int) -> dict:
     """Train, harden, and score a deep estimation quantizer at a bit budget."""
     p = channels or scenario.k
-    levels = _levels_for(total_bits, p)
+    levels = levels_for(total_bits, p)
     rng_data = stream(seed, "train-data")
     tasks, obs = scenario.train_sampler(rng_data, settings.train_size)
     net = deep.build_estimation_network(
@@ -494,7 +520,7 @@ def train_deep_classifier(scenario, total_bits: float,
     p = int(math.floor(scenario.k * rate))
     if p < 1:
         raise ConfigError(f"rate {rate:g} leaves no quantizers")
-    levels = _levels_for(total_bits, p)
+    levels = levels_for(total_bits, p)
     rng_data = stream(seed, "train-data")
     symbols, obs = scenario.train_sampler(rng_data, settings.train_size)
     labels = scenarios.symbols_to_labels(symbols)

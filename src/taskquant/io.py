@@ -6,6 +6,7 @@ by a dimension header and row-major little-endian 64-bit floats.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -24,27 +25,56 @@ _ACT_CODES = {"identity": 0, "tanh": 1}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 _HEAD_CODES = {"estimation": 0, "classification": 1}
 _HEAD_NAMES = {v: k for k, v in _HEAD_CODES.items()}
+_FLAG_NAMES = {0: False, 1: True}
 
 
 def _write_array(fh, arr):
     fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _read_array(fh, shape):
-    count = int(np.prod(shape))
-    raw = fh.read(8 * count)
-    if len(raw) != 8 * count:
-        raise ConfigError("file truncated while reading float data")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+class _Reader:
+    """Cursor over one record file after its magic and kind byte; every
+    malformed read raises ConfigError."""
 
+    def __init__(self, path, expected_kind: int):
+        with open(path, "rb") as fh:
+            self._data = fh.read()
+        magic = self._data[:len(MAGIC)]
+        if magic != MAGIC:
+            raise ConfigError(f"bad magic bytes {magic!r}, expected {MAGIC!r}")
+        self._pos = len(MAGIC)
+        kind = self.unpack("<B")[0]
+        if kind != expected_kind:
+            raise ConfigError(f"record kind {kind} does not match expected "
+                              f"{expected_kind}")
 
-def _read_header(fh, expected_kind):
-    magic = fh.read(4)
-    if magic != MAGIC:
-        raise ConfigError(f"bad magic bytes {magic!r}, expected {MAGIC!r}")
-    kind = struct.unpack("<B", fh.read(1))[0]
-    if kind != expected_kind:
-        raise ConfigError(f"record kind {kind} does not match expected {expected_kind}")
+    def take(self, size: int) -> bytes:
+        if size > len(self._data) - self._pos:
+            raise ConfigError(f"file truncated at byte {len(self._data)}: "
+                              f"{size} more bytes expected at {self._pos}")
+        chunk = self._data[self._pos:self._pos + size]
+        self._pos += size
+        return chunk
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def code(self, names: dict, what: str):
+        value = self.unpack("<B")[0]
+        if value not in names:
+            raise ConfigError(f"unknown {what} code {value}")
+        return names[value]
+
+    def array(self, shape) -> np.ndarray:
+        values = np.frombuffer(self.take(8 * math.prod(shape)), dtype="<f8")
+        if not np.all(np.isfinite(values)):
+            raise ConfigError("non-finite value in float data")
+        return values.reshape(shape).copy()
+
+    def end(self):
+        if self._pos != len(self._data):
+            raise ConfigError(f"{len(self._data) - self._pos} trailing bytes "
+                              f"after the record")
 
 
 def save_design(path, design: QuantizerDesign):
@@ -64,19 +94,23 @@ def save_design(path, design: QuantizerDesign):
 
 
 def load_design(path) -> QuantizerDesign:
-    with open(path, "rb") as fh:
-        _read_header(fh, _KIND_DESIGN)
-        channels, n, k, levels, dithered = struct.unpack("<IIIIB", fh.read(17))
-        support, predicted, waterline = struct.unpack("<ddd", fh.read(24))
-        n_sing = struct.unpack("<I", fh.read(4))[0]
-        analog = _read_array(fh, (channels, n))
-        digital = _read_array(fh, (k, channels))
-        sing = _read_array(fh, (n_sing,))
-    spec = UniformQuantizerSpec(levels=levels, support=support,
-                                dithered=bool(dithered))
-    return QuantizerDesign(analog=analog, quantizer=spec, digital=digital,
-                           predicted_excess_mse=predicted,
-                           singular_values=sing, waterline=waterline)
+    reader = _Reader(path, _KIND_DESIGN)
+    channels, n, k, levels = reader.unpack("<IIII")
+    dithered = reader.code(_FLAG_NAMES, "dither flag")
+    support, predicted, waterline = reader.unpack("<ddd")
+    n_sing = reader.unpack("<I")[0]
+    analog = reader.array((channels, n))
+    digital = reader.array((k, channels))
+    sing = reader.array((n_sing,))
+    reader.end()
+    try:
+        spec = UniformQuantizerSpec(levels=levels, support=support,
+                                    dithered=dithered)
+        return QuantizerDesign(analog=analog, quantizer=spec, digital=digital,
+                               predicted_excess_mse=predicted,
+                               singular_values=sing, waterline=waterline)
+    except ValueError as exc:
+        raise ConfigError(f"invalid design record: {exc}") from exc
 
 
 def _write_layers(fh, layers):
@@ -89,18 +123,13 @@ def _write_layers(fh, layers):
         _write_array(fh, layer.bias)
 
 
-def _read_layers(fh):
-    count = struct.unpack("<I", fh.read(4))[0]
-    shapes = []
-    for _ in range(count):
-        out_dim, in_dim, act = struct.unpack("<IIB", fh.read(9))
-        shapes.append((out_dim, in_dim, _ACT_NAMES[act]))
-    layers = []
-    for out_dim, in_dim, act in shapes:
-        weights = _read_array(fh, (out_dim, in_dim))
-        bias = _read_array(fh, (out_dim,))
-        layers.append(DenseLayer(weights=weights, bias=bias, activation=act))
-    return layers
+def _read_layers(reader):
+    count = reader.unpack("<I")[0]
+    shapes = [reader.unpack("<II") + (reader.code(_ACT_NAMES, "activation"),)
+              for _ in range(count)]
+    return [DenseLayer(weights=reader.array((out_dim, in_dim)),
+                       bias=reader.array((out_dim,)), activation=act)
+            for out_dim, in_dim, act in shapes]
 
 
 def save_model(path, net: Network):
@@ -122,14 +151,17 @@ def save_model(path, net: Network):
 
 
 def load_model(path) -> Network:
-    with open(path, "rb") as fh:
-        _read_header(fh, _KIND_MODEL)
-        head = _HEAD_NAMES[struct.unpack("<B", fh.read(1))[0]]
-        channels, terms = struct.unpack("<II", fh.read(8))
-        analog = _read_layers(fh)
-        outer = _read_array(fh, (channels, terms))
-        shifts = _read_array(fh, (channels, terms))
-        steepness = _read_array(fh, (channels, terms))
-        digital = _read_layers(fh)
-    quant = SoftQuantizer(outer=outer, shifts=shifts, steepness=steepness)
-    return Network(analog=analog, quantizer=quant, digital=digital, head=head)
+    reader = _Reader(path, _KIND_MODEL)
+    head = reader.code(_HEAD_NAMES, "head")
+    channels, terms = reader.unpack("<II")
+    try:
+        analog = _read_layers(reader)
+        outer = reader.array((channels, terms))
+        shifts = reader.array((channels, terms))
+        steepness = reader.array((channels, terms))
+        digital = _read_layers(reader)
+        reader.end()
+        quant = SoftQuantizer(outer=outer, shifts=shifts, steepness=steepness)
+        return Network(analog=analog, quantizer=quant, digital=digital, head=head)
+    except ValueError as exc:
+        raise ConfigError(f"invalid model record: {exc}") from exc

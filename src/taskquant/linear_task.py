@@ -365,24 +365,28 @@ def recommend_quantizers(model: LinearTaskModel) -> int:
 
 
 def estimate(design_: QuantizerDesign, x, rng: np.random.Generator | None = None,
-             dither: bool | None = None) -> np.ndarray:
+             dither: bool | None = None, combined: bool = False) -> np.ndarray:
     """Run the pipeline on observations: combine, quantize, recover.
 
-    x may be a single observation (n,) or a batch (..., n). dither defaults
-    to the quantizer's own flag; enabling it requires an rng.
+    x may be a single observation (n,) or a batch (..., n). With combined=True,
+    x already holds the combiner outputs (..., channels) and only quantization
+    and recovery run. dither defaults to the quantizer's own flag; enabling it
+    requires an rng.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != design_.analog.shape[1]:
+    width = design_.analog.shape[0 if combined else 1]
+    if x.shape[-1] != width:
         raise ValueError(
-            f"observation dimension {x.shape[-1]} does not match combiner "
-            f"width {design_.analog.shape[1]}")
+            f"input dimension {x.shape[-1]} does not match the combiner's "
+            f"{'channel count' if combined else 'width'} {width}")
     if dither is None:
         dither = design_.quantizer.dithered
-    combined = x @ design_.analog.T
+    if not combined:
+        x = x @ design_.analog.T
     if dither:
         if rng is None:
             raise ValueError("dithered estimation requires an rng")
-        quantized = dithered_quantize(combined, design_.quantizer, rng)
+        quantized = dithered_quantize(x, design_.quantizer, rng)
     else:
-        quantized = uniform_quantize(combined, design_.quantizer)
+        quantized = uniform_quantize(x, design_.quantizer)
     return np.asarray(quantized) @ design_.digital.T

@@ -39,7 +39,8 @@ class ScenarioSpec:
 
     name: str
     kind: str                       # "linear" | "quadratic" | "classification"
-    sampler: Callable               # (rng, count) -> (tasks, observations)
+    sampler: Callable               # (rng, count) -> (tasks, observations);
+                                    # linear kinds also take combiner=A
     model: Optional[LinearTaskModel] = None
     train_sampler: Optional[Callable] = None
     analytic_gamma: Optional[np.ndarray] = None
@@ -79,10 +80,41 @@ class ScenarioSpec:
         return np.clip(eig, 0.0, None)
 
 
-def _gaussian_sampler(mixing, chol_s, noise_std):
-    h = mixing
+def _joint_root(mixing, cov_s, noise_var, combiner) -> np.ndarray:
+    """Symmetric root of the covariance of (task, combiner @ observation).
 
-    def sample(rng: np.random.Generator, count: int):
+    The covariance is [[S, S H^T A^T], [A H S, A (H S H^T + noise I) A^T]].
+    A combiner with zero-gain rows makes it singular, so the root comes from
+    eigh with negative rounding eigenvalues clipped to zero, not Cholesky.
+    """
+    cross = combiner @ mixing @ cov_s
+    cov = np.block([[cov_s, cross.T],
+                    [cross, cross @ mixing.T @ combiner.T
+                     + noise_var * combiner @ combiner.T]])
+    w, q = np.linalg.eigh(0.5 * (cov + cov.T))
+    return (q * np.sqrt(np.clip(w, 0.0, None))) @ q.T
+
+
+def _gaussian_sampler(mixing, cov_s, noise_var):
+    h = mixing
+    chol_s = np.linalg.cholesky(cov_s)
+    noise_std = np.sqrt(noise_var)
+    last = [None]  # (combiner copy, joint root), reused while the combiner repeats
+
+    def sample(rng: np.random.Generator, count: int, combiner=None):
+        """(tasks, observations), or (tasks, observations @ combiner.T) drawn
+        jointly without the observations when a real combiner is given."""
+        if combiner is not None:
+            if np.iscomplexobj(combiner):
+                raise ValueError("the joint draw needs a real combiner")
+            a = np.asarray(combiner, dtype=float)
+            entry = last[0]
+            if entry is None or not np.array_equal(entry[0], a):
+                entry = (a.copy(), _joint_root(h, cov_s, noise_var, a))
+                last[0] = entry
+            z = rng.standard_normal((count, entry[1].shape[0])) @ entry[1]
+            k = chol_s.shape[0]
+            return z[:, :k], z[:, k:]
         s = rng.standard_normal((count, chol_s.shape[0])) @ chol_s.T
         x = s @ h.T + noise_std * rng.standard_normal((count, h.shape[0]))
         return s, x
@@ -105,7 +137,7 @@ def isi_scenario() -> ScenarioSpec:
     gamma, mmse = gaussian_mmse(mixing, cov_s, 1.0)
     obs_cov = mixing @ cov_s @ mixing.T + np.eye(n)
     model = LinearTaskModel(obs_cov=obs_cov, task_matrix=gamma, mmse_floor=mmse)
-    sampler = _gaussian_sampler(mixing, np.linalg.cholesky(cov_s), 1.0)
+    sampler = _gaussian_sampler(mixing, cov_s, 1.0)
     return ScenarioSpec(name="isi", kind="linear", sampler=sampler, model=model,
                         analytic_gamma=gamma, analytic_mmse=mmse,
                         mixing=mixing, noise_var=1.0, prior_cov=cov_s)
@@ -162,7 +194,7 @@ def dft_pilot_scenario() -> ScenarioSpec:
     gamma, mmse = gaussian_mmse(mixing, np.eye(k), noise_var)
     obs_cov = mixing @ mixing.T + noise_var * np.eye(mixing.shape[0])
     model = LinearTaskModel(obs_cov=obs_cov, task_matrix=gamma, mmse_floor=mmse)
-    sampler = _gaussian_sampler(mixing, np.eye(k), np.sqrt(noise_var))
+    sampler = _gaussian_sampler(mixing, np.eye(k), noise_var)
     return ScenarioSpec(name="dft_pilot", kind="linear", sampler=sampler,
                         model=model, analytic_gamma=gamma, analytic_mmse=mmse,
                         mixing=mixing, noise_var=noise_var, prior_cov=np.eye(k))
@@ -262,38 +294,38 @@ def csi_perturb(scenario: ScenarioSpec, fraction: float, seed: int) -> ScenarioS
     Training samples are drawn from the joint distribution in which every
     entry of the mixing matrix carries independent Gaussian noise of variance
     fraction * |entry|, redrawn per sample; evaluation keeps the true matrix.
-    seed salts the perturbation stream so different uncertainty realizations
-    stay reproducible.
+    Given the task s, row i of the perturbed product is Gaussian with variance
+    fraction * sum_j |H_ij| s_j^2, independent across rows, so each sample
+    needs one normal per antenna, not a perturbed matrix. seed salts the
+    perturbation stream so different uncertainty realizations stay
+    reproducible.
     """
     if scenario.mixing is None:
         raise ValueError(f"scenario {scenario.name} has no mixing matrix")
     if fraction < 0:
         raise ValueError("fraction must be nonnegative")
     mixing = scenario.mixing
-    entry_std = np.sqrt(fraction * np.abs(mixing))
-    noise_std = np.sqrt(scenario.noise_var)
+    magnitude = np.abs(mixing)
+    noise_var = scenario.noise_var
     if scenario.kind == "classification":
         table = scenario.symbols
 
-        def train(rng: np.random.Generator, count: int):
-            pert = np.random.default_rng([seed, int(rng.integers(2 ** 63))])
-            labels = rng.integers(0, table.shape[0], size=count)
-            s = table[labels]
-            h = mixing + entry_std * pert.standard_normal((count, *mixing.shape))
-            x = (np.einsum("tij,tj->ti", h, s)
-                 + noise_std * rng.standard_normal((count, mixing.shape[0])))
-            return s, x
+        def draw_tasks(rng, count):
+            return table[rng.integers(0, table.shape[0], size=count)]
     elif scenario.kind == "linear":
         chol = np.linalg.cholesky(scenario.prior_cov)
 
-        def train(rng: np.random.Generator, count: int):
-            pert = np.random.default_rng([seed, int(rng.integers(2 ** 63))])
-            s = rng.standard_normal((count, chol.shape[0])) @ chol.T
-            h = mixing + entry_std * pert.standard_normal((count, *mixing.shape))
-            x = (np.einsum("tij,tj->ti", h, s)
-                 + noise_std * rng.standard_normal((count, mixing.shape[0])))
-            return s, x
+        def draw_tasks(rng, count):
+            return rng.standard_normal((count, chol.shape[0])) @ chol.T
     else:
         raise ValueError("csi_perturb applies to sampled-mixing scenarios")
+
+    def train(rng: np.random.Generator, count: int):
+        pert = np.random.default_rng([seed, int(rng.integers(2 ** 63))])
+        s = draw_tasks(rng, count)
+        std = np.sqrt(noise_var + fraction * (s * s) @ magnitude.T)
+        x = s @ mixing.T + std * pert.standard_normal((count, mixing.shape[0]))
+        return s, x
+
     return dataclasses.replace(scenario, name=f"{scenario.name}+csi",
                                train_sampler=train)

@@ -1,9 +1,11 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
-from taskquant import cli
+from taskquant import cli, harness, scenarios
 
 ISI_CFG = """
 [scenario]
@@ -140,3 +142,31 @@ def test_numerical_failure_exits_two(isi_config, monkeypatch, capsys):
     monkeypatch.setattr(cli.harness, "sweep", boom)
     assert cli.main(["sweep", "--config", str(isi_config)]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_sweep_stdout_is_a_valid_csv(isi_config, capsys):
+    assert cli.main(["sweep", "--config", str(isi_config)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(harness.CSV_HEADER + "\n")
+    rows = list(csv.reader(io.StringIO(captured.out)))
+    assert len(rows) == 1 + 4
+    assert all(len(row) == 6 for row in rows)
+    assert "task_based @ 8" in captured.err
+
+
+def test_simulate_runs_the_configured_levels():
+    # levels -> total bits -> levels must round-trip on every pair
+    scenario = scenarios.isi_scenario()
+    short = []
+    for channels in range(1, 65):
+        for levels in range(2, 257):
+            cfg = harness.ExperimentConfig(scenario="isi", channels=channels,
+                                           levels=levels)
+            bits = cli._total_bits(cfg, scenario)
+            if harness.levels_for(bits, channels) != levels:
+                short.append((channels, levels))
+    assert short == []
+    cfg = harness.ExperimentConfig(scenario="isi", channels=8, levels=5)
+    _, des, _ = harness._mse_predictor(cfg, scenario,
+                                       cli._total_bits(cfg, scenario))
+    assert des.quantizer.levels == 5

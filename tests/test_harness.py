@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -213,3 +215,36 @@ def test_binary_magic_is_checked(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ConfigError, match="magic"):
         io.load_design(path)
+
+
+@pytest.mark.parametrize("trials", [1, 2, 8192, 3 * 8192 + 17])
+def test_block_merge_matches_whole_array_statistics(trials):
+    data = np.random.default_rng(12).normal(3.0, 2.0, trials) ** 2
+    chunks = iter(np.split(data, range(8192, trials, 8192)))
+
+    def block(rng, count):
+        chunk = next(chunks)
+        assert chunk.size == count
+        return chunk
+
+    est, se = harness._monte_carlo(block, trials, seed=0)
+    assert est == pytest.approx(np.mean(data), rel=1e-12)
+    if trials == 1:
+        assert np.isnan(se)
+    else:
+        expected = np.std(data, ddof=1) / np.sqrt(trials)
+        assert se == pytest.approx(expected, rel=1e-12)
+
+
+def test_simulate_mse_memory_does_not_grow_with_trials():
+    sc = scenarios.isi_scenario()
+    des = design(sc.model, 8, 16)
+    peaks = []
+    for trials in (10 ** 5, 10 ** 6):
+        tracemalloc.start()
+        try:
+            harness.simulate_mse(des, sc, trials, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]

@@ -1,0 +1,89 @@
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from taskquant import deep, io
+from taskquant.errors import ConfigError
+from taskquant.linear_task import LinearTaskModel, design
+
+
+def _design_bytes(path):
+    rng = np.random.default_rng(3)
+    q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    model = LinearTaskModel(obs_cov=(q * rng.uniform(0.5, 2.0, 6)) @ q.T,
+                            task_matrix=rng.standard_normal((2, 6)))
+    io.save_design(path, design(model, 2, 4))
+    return path.read_bytes()
+
+
+def _model_bytes(path):
+    rng = np.random.default_rng(4)
+    net = deep.build_estimation_network(rng, 5, 2, 2, 4,
+                                        rng.standard_normal((16, 5)),
+                                        hidden_analog=(3,))
+    io.save_model(path, net)
+    return path.read_bytes()
+
+
+LOADERS = {"design": (_design_bytes, io.load_design),
+           "model": (_model_bytes, io.load_model)}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_every_truncation_is_a_config_error(kind, tmp_path):
+    make, load = LOADERS[kind]
+    valid = make(tmp_path / "valid.tbq")
+    load(tmp_path / "valid.tbq")
+    path = tmp_path / "cut.tbq"
+    for size in range(len(valid)):
+        path.write_bytes(valid[:size])
+        with pytest.raises(ConfigError):
+            load(path)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_trailing_bytes_are_rejected(kind, tmp_path):
+    make, load = LOADERS[kind]
+    path = tmp_path / "long.tbq"
+    path.write_bytes(make(path) + b"\x00")
+    with pytest.raises(ConfigError, match="trailing"):
+        load(path)
+
+
+def test_unknown_codes_are_rejected(tmp_path):
+    path = tmp_path / "model.tbq"
+    valid = _model_bytes(path)
+    path.write_bytes(valid[:5] + b"\x07" + valid[6:])      # head code
+    with pytest.raises(ConfigError, match="head code 7"):
+        io.load_model(path)
+    valid = _design_bytes(path)
+    path.write_bytes(valid[:21] + b"\x02" + valid[22:])    # dither flag
+    with pytest.raises(ConfigError, match="dither flag code 2"):
+        io.load_design(path)
+
+
+def test_non_finite_floats_are_rejected(tmp_path):
+    path = tmp_path / "design.tbq"
+    valid = _design_bytes(path)
+    analog_at = 4 + 1 + 17 + 24 + 4
+    path.write_bytes(valid[:analog_at] + struct.pack("<d", float("nan"))
+                     + valid[analog_at + 8:])
+    with pytest.raises(ConfigError, match="non-finite"):
+        io.load_design(path)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("tbq") / "arbitrary.tbq"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.binary(max_size=256))
+def test_arbitrary_bytes_after_magic_are_config_errors(scratch, body):
+    scratch.write_bytes(io.MAGIC + body)
+    for load in (io.load_design, io.load_model):
+        with pytest.raises(ConfigError):
+            load(scratch)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from taskquant import scenarios
-from taskquant.linear_task import recommend_quantizers
+from taskquant.linear_task import design, recommend_quantizers
 
 # exhaustive-MAP bit error rate at 10 dB, seed-pinned; regression anchor
 MAP_BER_10DB_ANCHOR = 0.0009875
@@ -143,3 +143,59 @@ def test_csi_perturb_validation():
         scenarios.csi_perturb(sc, 0.2, seed=0)
     with pytest.raises(ValueError):
         scenarios.bpsk_scenario(-1.0)
+
+
+def _joint_cases():
+    isi, dft = scenarios.isi_scenario(), scenarios.dft_pilot_scenario()
+    return {"isi": (isi, design(isi.model, 8, 16).analog),
+            "dft_pilot": (dft, design(dft.model, 40, 8).analog),
+            # 1 bit per ADC: water-filling leaves zero-gain modes
+            "isi_rank_deficient": (isi, design(isi.model, 8, 2, 3.0).analog)}
+
+
+@pytest.mark.parametrize("case", ["isi", "dft_pilot", "isi_rank_deficient"])
+def test_joint_sampler_matches_analytic_covariance(case):
+    sc, a = _joint_cases()[case]
+    if case == "isi_rank_deficient":
+        assert np.linalg.matrix_rank(a @ sc.model.obs_cov @ a.T) < a.shape[0]
+    count = 60_000
+    s, y = sc.sampler(np.random.default_rng(21), count, combiner=a)
+    assert s.shape == (count, sc.k) and y.shape == (count, a.shape[0])
+    cross = a @ sc.mixing @ sc.prior_cov
+    expected = np.block([[sc.prior_cov, cross.T],
+                         [cross, a @ sc.model.obs_cov @ a.T]])
+    z = np.hstack([s, y])
+    empirical = z.T @ z / count
+    var = np.diag(expected)
+    se = np.sqrt((np.outer(var, var) + expected ** 2) / count)
+    assert np.all(np.abs(empirical - expected) <= 5 * se + 1e-12)
+
+
+def test_joint_sampler_overload_rate_matches_full_sampler():
+    sc = scenarios.isi_scenario()
+    count = 50_000
+    for levels, scale in ((2, 1.5), (4, 2.0), (16, 4.0)):
+        des = design(sc.model, 8, levels, support_scale=scale)
+        support = des.quantizer.support
+        _, x = sc.sampler(np.random.default_rng(31), count)
+        full = np.mean(np.abs(x @ des.analog.T) > support)
+        _, y = sc.sampler(np.random.default_rng(32), count, combiner=des.analog)
+        joint = np.mean(np.abs(y) > support)
+        rate = 0.5 * (full + joint)
+        se = np.sqrt(2 * rate * (1 - rate) / (count * des.channels))
+        assert abs(joint - full) <= 4 * se + 1e-12
+
+
+@pytest.mark.parametrize("make", [scenarios.isi_scenario,
+                                  scenarios.dft_pilot_scenario])
+def test_sampler_without_combiner_is_unchanged(make):
+    # the full draw as it was before the joint draw existed, byte for byte
+    sc = make()
+    s, x = sc.sampler(np.random.default_rng(41), 3000)
+    ref = np.random.default_rng(41)
+    chol = np.linalg.cholesky(sc.prior_cov)
+    s_ref = ref.standard_normal((3000, sc.k)) @ chol.T
+    x_ref = (s_ref @ sc.mixing.T
+             + np.sqrt(sc.noise_var) * ref.standard_normal((3000, sc.n)))
+    assert s.tobytes() == s_ref.tobytes()
+    assert x.tobytes() == x_ref.tobytes()
