@@ -15,8 +15,8 @@ from .linear_task import (LinearTaskModel, QuantizerDesign, design,
 from .quant import (LearnedQuantizerSpec, UniformQuantizerSpec,
                     dithered_quantize, learned_quantize, noise_variance,
                     overload_safe_support, uniform_quantize)
-from .quadratic_task import (LiftedTaskModel, QuadraticTask, estimate_quadratic,
-                             lift, lifted_covariance, to_linear_model)
+from .quadratic_task import (LiftedTaskModel, QuadraticTask, lift,
+                             lifted_covariance, to_linear_model)
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,6 @@ __all__ = [
     "lift",
     "lifted_covariance",
     "to_linear_model",
-    "estimate_quadratic",
     "SpectrumBound",
     "gaussian_mmse",
     "indirect_drf",

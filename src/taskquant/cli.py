@@ -8,16 +8,15 @@ configuration problems, 2 on numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
-from . import deep, harness, io, scenarios
-from .bounds import SpectrumBound, indirect_drf
+from . import deep, harness, io
 from .errors import ConfigError, NumericalError
 from .linear_task import design as design_pipeline
-from .linear_task import recommend_quantizers
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,32 +50,23 @@ def _build_parser() -> _Parser:
 def _load(args) -> harness.ExperimentConfig:
     if not args.config:
         raise ConfigError("--config is required for this subcommand")
-    cfg = harness.load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.trials is not None:
-        cfg.trials = args.trials
-    if args.output is not None:
-        cfg.output = args.output
-    return cfg
+    overrides = {name: getattr(args, name) for name in ("seed", "trials", "output")
+                 if getattr(args, name) is not None}
+    # replace() re-runs the config's validation on the overridden values
+    return dataclasses.replace(harness.load_config(args.config), **overrides)
 
 
 def _design_for_config(cfg: harness.ExperimentConfig):
     scenario = harness.build_scenario(cfg)
-    model = scenario.lifted.model if scenario.kind == "quadratic" else scenario.model
-    if model is None:
-        raise ConfigError("[scenario] name: scenario has no design model")
-    channels = cfg.channels or recommend_quantizers(model)
+    channels = harness.quantizer_count("task_based", scenario, cfg.channels)
     if cfg.levels is not None:
         levels = cfg.levels
-        if levels < 2:
-            raise ConfigError("[design] levels: at least 2 levels required")
     elif cfg.rate_bits is not None:
         levels = harness.levels_for(cfg.rate_bits, channels)
     else:
         raise ConfigError("[design] levels or rate_bits: one is required")
     scale = harness.feasible_support_scale(cfg.support_scale, levels)
-    return scenario, design_pipeline(model, channels, levels, scale)
+    return scenario, design_pipeline(scenario.model, channels, levels, scale)
 
 
 def _cmd_design(args) -> int:
@@ -97,14 +87,7 @@ def _total_bits(cfg: harness.ExperimentConfig, scenario) -> float:
         return float(cfg.rate_bits)
     if cfg.levels is None:
         raise ConfigError("[simulate] rate_bits or [design] levels: one is required")
-    if cfg.method == "digital_only":
-        channels = scenario.n
-    elif cfg.method == "mmse_then_quantize":
-        channels = scenario.k
-    else:
-        model = (scenario.lifted.model if scenario.kind == "quadratic"
-                 else scenario.model)
-        channels = cfg.channels or recommend_quantizers(model)
+    channels = harness.quantizer_count(cfg.method, scenario, cfg.channels)
     return channels * float(np.log2(cfg.levels))
 
 
@@ -124,7 +107,7 @@ def _cmd_simulate(args) -> int:
     print(harness.CSV_HEADER)
     for row in rows:
         print(row.csv_line())
-    print(f"# wall_time_ms={rows[0].wall_time_ms:.1f}")
+    print(f"# wall_time_ms={rows[0].wall_time_ms:.1f}", file=sys.stderr)
     if output:
         harness.write_csv(rows, output)
     return 0
@@ -150,15 +133,7 @@ def _cmd_bound(args) -> int:
                           "linear scenario")
     if not cfg.grid:
         raise ConfigError("[sweep] grid: rate grid required for bound curves")
-    spectrum = scenario.estimate_spectrum()
-    rows = []
-    for bits in cfg.grid:
-        bound = SpectrumBound(eigenvalues=spectrum,
-                              mmse_floor=scenario.model.mmse_floor,
-                              rate_bits=bits)
-        rows.append(harness.ResultRow(axis=bits, method="bound", metric="mse",
-                                      estimate=indirect_drf(bound),
-                                      std_error=0.0, trials=0))
+    rows = [harness.bound_row(scenario, bits) for bits in cfg.grid]
     if cfg.output:
         harness.write_csv(rows, cfg.output)
         print(f"{len(rows)} rows written to {cfg.output}")

@@ -12,7 +12,7 @@ activation: the structure is a strict analog -> quantize -> digital chain.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -416,9 +416,8 @@ def build_classification_network(rng: np.random.Generator, input_dim: int,
                                  hidden_digital: Sequence[int] = (),
                                  support_scale: float = 4.0,
                                  steepness_scale: float = 50.0) -> Network:
-    analog = _build_dense(rng, [input_dim, *hidden_analog, channels])
-    support = _calibrated_support(analog, x_calib, support_scale)
-    quant = _uniform_soft_quantizer(channels, levels, support, steepness_scale)
-    digital = _build_dense(rng, [channels, *hidden_digital, n_classes])
-    return Network(analog=analog, quantizer=quant, digital=digital,
-                   head="classification")
+    """The estimation network over n_classes outputs with a softmax head."""
+    net = build_estimation_network(rng, input_dim, channels, n_classes, levels,
+                                   x_calib, hidden_analog, hidden_digital,
+                                   support_scale, steepness_scale)
+    return replace(net, head="classification")

@@ -12,10 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError
 from .linear_task import (LinearTaskModel, QuantizerDesign, design,
-                          excess_mse, optimal_digital)
-from .quant import UniformQuantizerSpec
+                          fixed_combiner_design)
 
 __all__ = [
     "Unconstrained",
@@ -297,20 +295,7 @@ def constrained_design(model: LinearTaskModel, constraint, channels: int,
     base = design(model, channels, levels, support_scale)
     if isinstance(constraint, Unconstrained):
         return base
-    analog = _project(base.analog, constraint)
-
-    channel_var = np.einsum("ij,jk,ik->i", analog, model.obs_cov, analog)
-    peak = channel_var.max()
-    if peak <= 0:
-        raise NumericalError("projected combiner passes no signal power")
-    m2 = float(support_scale) ** 2
-    margin = m2 / (1.0 - m2 / (3.0 * levels ** 2))
-    support = float(np.sqrt(margin * peak))
-
-    digital = optimal_digital(analog, model, support, levels)
-    predicted = excess_mse(analog, model, support, levels)
-    spec = UniformQuantizerSpec(levels=levels, support=support, dithered=True)
-    return QuantizerDesign(analog=analog, quantizer=spec, digital=digital,
-                           predicted_excess_mse=max(predicted, 0.0),
-                           singular_values=base.singular_values,
-                           waterline=base.waterline)
+    return fixed_combiner_design(_project(base.analog, constraint), model,
+                                 levels, support_scale,
+                                 singular_values=base.singular_values,
+                                 waterline=base.waterline)

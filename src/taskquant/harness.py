@@ -21,8 +21,8 @@ import numpy as np
 from . import deep, scenarios
 from .bounds import SpectrumBound, indirect_drf
 from .errors import ConfigError
-from .linear_task import (LinearTaskModel, QuantizerDesign, design, estimate,
-                          excess_mse, optimal_digital, recommend_quantizers)
+from .linear_task import (QuantizerDesign, design, estimate,
+                          fixed_combiner_design, recommend_quantizers)
 from .hardware import PartialConnect, PhaseOnly, Unconstrained, constrained_design
 from .quant import UniformQuantizerSpec, dithered_quantize, uniform_quantize
 
@@ -37,6 +37,8 @@ __all__ = [
     "stream",
     "levels_for",
     "feasible_support_scale",
+    "quantizer_count",
+    "bound_row",
     "simulate_mse",
     "simulate_ber",
     "sweep",
@@ -98,7 +100,6 @@ class TrainSettings:
     hidden_digital: tuple = ()
     support_scale: float = 4.0
     steepness: float = 50.0
-    c_schedule: Optional[tuple] = None
 
 
 @dataclass
@@ -129,9 +130,24 @@ class ExperimentConfig:
             raise ConfigError("[sweep] trials: must be >= 1")
         if self.grid:
             g = tuple(float(v) for v in self.grid)
+            if not all(math.isfinite(v) for v in g):
+                raise ConfigError("[sweep] grid: values must be finite")
             if any(b <= a for a, b in zip(g, g[1:])):
                 raise ConfigError("[sweep] grid: values must be strictly ascending")
             self.grid = g
+        if self.rate_bits is not None and not math.isfinite(self.rate_bits):
+            raise ConfigError("[sweep] rate_bits: must be finite")
+        if self.channels is not None and self.channels < 1:
+            raise ConfigError("[design] channels: at least 1 channel required")
+        if self.levels is not None and self.levels < 2:
+            raise ConfigError("[design] levels: at least 2 levels required")
+        scale_range = self.support_scale_range
+        if scale_range is not None and len(scale_range) != 2:
+            raise ConfigError("[design] support_scale_range: expected two values")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.support_scale, *(scale_range or ()))):
+            raise ConfigError("[design] support_scale: values must be finite "
+                              "and positive")
         if self.axis not in ("rate_bits", "snr_db"):
             raise ConfigError(f"[sweep] axis: unknown axis {self.axis!r}")
 
@@ -181,7 +197,11 @@ def levels_for(bits: float, channels: int, floor_at_two: bool = False) -> int:
     tolerance forgives the rounding that leaves 2^(bits/channels) just below
     the integer L (at 8 channels, 5 levels would otherwise come back as 4).
     """
-    levels = int(math.floor(2.0 ** (bits / channels) + 1e-9))
+    try:
+        levels = int(math.floor(2.0 ** (bits / channels) + 1e-9))
+    except OverflowError:
+        raise ConfigError(f"budget of {bits:g} bits over {channels} quantizers "
+                          f"needs more levels than a float can hold") from None
     if levels < 2:
         if not floor_at_two:
             raise ConfigError(
@@ -195,23 +215,6 @@ def _quantize_batch(z, spec: UniformQuantizerSpec, rng, dither: bool):
     if dither:
         return dithered_quantize(z, spec, rng)
     return uniform_quantize(z, spec)
-
-
-def _pipeline_design(analog, model: LinearTaskModel, support: float,
-                     levels: int) -> QuantizerDesign:
-    digital = optimal_digital(analog, model, support, levels)
-    predicted = max(excess_mse(analog, model, support, levels), 0.0)
-    spec = UniformQuantizerSpec(levels=levels, support=support, dithered=True)
-    return QuantizerDesign(analog=analog, quantizer=spec, digital=digital,
-                           predicted_excess_mse=predicted,
-                           singular_values=np.zeros(0), waterline=float("nan"))
-
-
-def _support_for_combiner(analog, model: LinearTaskModel, support_scale: float,
-                          levels: int) -> float:
-    margin = support_scale ** 2 / (1.0 - support_scale ** 2 / (3.0 * levels ** 2))
-    var = np.einsum("ij,jk,ik->i", analog, model.obs_cov, analog)
-    return float(np.sqrt(margin * var.max()))
 
 
 def _squared_errors(scenario, predict, combiner=None):
@@ -246,6 +249,26 @@ def _design_errors(scenario, des: QuantizerDesign, dither: bool):
         combiner=des.analog)
 
 
+def quantizer_count(method: str, scenario, channels: Optional[int]) -> int:
+    """Quantizers `method` spreads its bit budget over on `scenario`.
+
+    mmse_then_quantize quantizes each task estimate and digital_only each
+    antenna; the deep estimator defaults to one quantizer per task entry and
+    the designed pipelines to the rank of the whitened task map, and a
+    configured channel count overrides either default.
+    """
+    if method == "digital_only":
+        return scenario.n
+    if method == "mmse_then_quantize":
+        return scenario.k
+    if method == "deep":
+        return channels or scenario.k
+    if scenario.model is None:
+        raise ConfigError(f"[scenario] name: {scenario.name} has no design "
+                          f"model for {method!r}")
+    return channels or recommend_quantizers(scenario.model)
+
+
 def _mse_predictor(config: ExperimentConfig, scenario, bits: float):
     """Build the per-grid-point block function (rng, count) -> squared errors.
 
@@ -255,34 +278,29 @@ def _mse_predictor(config: ExperimentConfig, scenario, bits: float):
     per-dimension baseline whose levels floor at two.
     """
     method = config.method
+    if method not in ("task_based", "quadratic", "constrained",
+                      "mmse_then_quantize", "digital_only"):
+        raise ConfigError(f"[sweep] method: {method!r} does not produce MSE rows")
     quadratic = scenario.kind == "quadratic"
-    model = scenario.lifted.model if quadratic else scenario.model
-    scale = _support_scale_at(config, bits)
+    if method == "constrained" and quadratic:
+        raise ConfigError("[sweep] method: constrained applies to linear scenarios")
+    model = scenario.model
+    channels = quantizer_count(method, scenario, config.channels)
+    levels = levels_for(bits, channels,
+                        floor_at_two=quadratic and method == "digital_only")
+    scale = feasible_support_scale(_support_scale_at(config, bits), levels)
+    realized = channels * math.log2(levels)
 
     if method in ("task_based", "quadratic"):
-        channels = config.channels or recommend_quantizers(model)
-        levels = levels_for(bits, channels)
-        des = design(model, channels, levels,
-                     feasible_support_scale(scale, levels))
-        return (_design_errors(scenario, des, config.dither), des,
-                channels * math.log2(levels))
+        des = design(model, channels, levels, scale)
+        return _design_errors(scenario, des, config.dither), des, realized
 
     if method == "constrained":
-        if quadratic:
-            raise ConfigError("[sweep] method: constrained applies to linear scenarios")
-        channels = config.channels or recommend_quantizers(model)
-        levels = levels_for(bits, channels)
         des = constrained_design(model, _parse_constraint(config, model.n),
-                                 channels, levels,
-                                 feasible_support_scale(scale, levels))
-        return (_design_errors(scenario, des, config.dither), des,
-                channels * math.log2(levels))
+                                 channels, levels, scale)
+        return _design_errors(scenario, des, config.dither), des, realized
 
     if method == "mmse_then_quantize":
-        channels = model.k if not quadratic else scenario.k
-        levels = levels_for(bits, channels)
-        scale = feasible_support_scale(scale, levels)
-        realized = channels * math.log2(levels)
         if quadratic:
             task = scenario.task
             lifted = scenario.lifted
@@ -292,32 +310,19 @@ def _mse_predictor(config: ExperimentConfig, scenario, bits: float):
             spec = UniformQuantizerSpec(levels, support, dithered=True)
             return (_squared_errors(scenario, lambda x, rng: _quantize_batch(
                 task.values(x), spec, rng, config.dither)), spec, realized)
-        analog = model.task_matrix
-        support = _support_for_combiner(analog, model, scale, levels)
-        des = _pipeline_design(analog, model, support, levels)
+        des = fixed_combiner_design(model.task_matrix, model, levels, scale)
         return _design_errors(scenario, des, config.dither), des, realized
 
-    if method == "digital_only":
-        if quadratic:
-            task = scenario.task
-            levels = levels_for(bits, task.n, floor_at_two=True)
-            scale = feasible_support_scale(scale, levels)
-            support = scale * float(np.sqrt(np.diag(task.input_cov)).max())
-            spec = UniformQuantizerSpec(levels, support, dithered=True)
-            return (_squared_errors(scenario, lambda x, rng: task.values(
-                _quantize_batch(x, spec, rng, config.dither))),
-                spec, task.n * math.log2(levels))
-        levels = levels_for(bits, model.n)
-        scale = feasible_support_scale(scale, levels)
-        analog = np.eye(model.n)
-        support = _support_for_combiner(analog, model, scale, levels)
-        des = _pipeline_design(analog, model, support, levels)
-        # A = I: the joint draw would save nothing, so sample x itself
-        return (_squared_errors(scenario, lambda x, rng: estimate(
-            des, x, rng=rng, dither=config.dither)),
-            des, model.n * math.log2(levels))
-
-    raise ConfigError(f"[sweep] method: {method!r} does not produce MSE rows")
+    if quadratic:
+        task = scenario.task
+        support = scale * float(np.sqrt(np.diag(task.input_cov)).max())
+        spec = UniformQuantizerSpec(levels, support, dithered=True)
+        return (_squared_errors(scenario, lambda x, rng: task.values(
+            _quantize_batch(x, spec, rng, config.dither))), spec, realized)
+    des = fixed_combiner_design(np.eye(model.n), model, levels, scale)
+    # A = I: the joint draw would save nothing, so sample x itself
+    return (_squared_errors(scenario, lambda x, rng: estimate(
+        des, x, rng=rng, dither=config.dither)), des, realized)
 
 
 def _parse_constraint(config: ExperimentConfig, n: int):
@@ -382,8 +387,7 @@ def simulate_ber(detector, scenario, trials: int, seed: int) -> ResultRow:
     def block(rng, count):
         symbols, obs = scenario.sampler(rng, count)
         truth = scenarios.symbols_to_labels(symbols)
-        diff = np.bitwise_xor(np.asarray(detector(obs), dtype=int), truth)
-        return sum(((diff >> b) & 1) for b in range(k)) / k
+        return scenarios.bit_errors(detector(obs), truth, k) / k
 
     start = time.perf_counter()
     est, se = _monte_carlo(block, trials, seed)
@@ -393,7 +397,8 @@ def simulate_ber(detector, scenario, trials: int, seed: int) -> ResultRow:
                      wall_time_ms=elapsed)
 
 
-def _bound_row(scenario, bits: float) -> ResultRow:
+def bound_row(scenario, bits: float) -> ResultRow:
+    """Rate-distortion lower bound at `bits` for a Gaussian linear scenario."""
     spectrum = scenario.estimate_spectrum()
     bound = SpectrumBound(eigenvalues=spectrum,
                           mmse_floor=scenario.model.mmse_floor,
@@ -438,7 +443,7 @@ def sweep(config: ExperimentConfig, verbose: bool = False):
     if (config.axis == "rate_bits" and config.include_bound
             and scenario.kind == "linear" and scenario.model is not None):
         for value in config.grid:
-            rows.append(_bound_row(scenario, value))
+            rows.append(bound_row(scenario, value))
     if config.output:
         write_csv(rows, config.output)
     return rows
@@ -484,33 +489,45 @@ def _snr_row(config: ExperimentConfig, scenario, snr_db: float,
     return row
 
 
-def train_deep_estimator(scenario, total_bits: float, channels: Optional[int],
-                         settings: TrainSettings, seed: int) -> dict:
-    """Train, harden, and score a deep estimation quantizer at a bit budget."""
-    p = channels or scenario.k
+def _train_and_harden(scenario, total_bits: float, p: int, head: str,
+                      settings: TrainSettings, seed: int) -> dict:
+    """Draw training data, build a `head` network, train it and harden it."""
     levels = levels_for(total_bits, p)
-    rng_data = stream(seed, "train-data")
-    tasks, obs = scenario.train_sampler(rng_data, settings.train_size)
-    net = deep.build_estimation_network(
-        stream(seed, "init"), scenario.n, p, scenario.k, levels, obs,
-        hidden_analog=settings.hidden_analog,
-        hidden_digital=settings.hidden_digital,
-        support_scale=settings.support_scale,
-        steepness_scale=settings.steepness)
+    targets, obs = scenario.train_sampler(stream(seed, "train-data"),
+                                          settings.train_size)
+    if head == "classification":
+        targets = scenarios.symbols_to_labels(targets)
+        build = deep.build_classification_network
+        outputs = scenario.symbols.shape[0]
+    else:
+        build, outputs = deep.build_estimation_network, scenario.k
+    net = build(stream(seed, "init"), scenario.n, p, outputs, levels, obs,
+                hidden_analog=settings.hidden_analog,
+                hidden_digital=settings.hidden_digital,
+                support_scale=settings.support_scale,
+                steepness_scale=settings.steepness)
     cfg = deep.TrainConfig(learning_rate=settings.learning_rate,
                            batch_size=settings.batch_size,
                            epochs=settings.epochs,
-                           seed=derive_seed(seed, "sgd"),
-                           c_schedule=settings.c_schedule)
-    history = deep.train(net, obs, tasks, cfg)
-    hardened = deep.harden(net)
-    rng_test = stream(seed, "test-data")
-    test_tasks, test_obs = scenario.sampler(rng_test, settings.test_size)
-    err = ((test_tasks - deep.forward(hardened, test_obs)) ** 2).sum(axis=1)
-    return {"net": net, "hardened": hardened, "history": history,
-            "test_mse": float(err.mean()),
-            "test_se": float(err.std(ddof=1) / math.sqrt(err.size)),
+                           seed=derive_seed(seed, "sgd"))
+    history = deep.train(net, obs, targets, cfg)
+    return {"net": net, "hardened": deep.harden(net), "history": history,
             "levels": levels, "channels": p}
+
+
+def train_deep_estimator(scenario, total_bits: float, channels: Optional[int],
+                         settings: TrainSettings, seed: int) -> dict:
+    """Train, harden, and score a deep estimation quantizer at a bit budget."""
+    result = _train_and_harden(scenario, total_bits,
+                               quantizer_count("deep", scenario, channels),
+                               "estimation", settings, seed)
+    test_tasks, test_obs = scenario.sampler(stream(seed, "test-data"),
+                                            settings.test_size)
+    predicted = deep.forward(result["hardened"], test_obs)
+    err = ((test_tasks - predicted) ** 2).sum(axis=1)
+    result["test_mse"] = float(err.mean())
+    result["test_se"] = float(err.std(ddof=1) / math.sqrt(err.size))
+    return result
 
 
 def train_deep_classifier(scenario, total_bits: float,
@@ -520,26 +537,8 @@ def train_deep_classifier(scenario, total_bits: float,
     p = int(math.floor(scenario.k * rate))
     if p < 1:
         raise ConfigError(f"rate {rate:g} leaves no quantizers")
-    levels = levels_for(total_bits, p)
-    rng_data = stream(seed, "train-data")
-    symbols, obs = scenario.train_sampler(rng_data, settings.train_size)
-    labels = scenarios.symbols_to_labels(symbols)
-    n_classes = scenario.symbols.shape[0]
-    net = deep.build_classification_network(
-        stream(seed, "init"), scenario.n, p, n_classes, levels, obs,
-        hidden_analog=settings.hidden_analog,
-        hidden_digital=settings.hidden_digital,
-        support_scale=settings.support_scale,
-        steepness_scale=settings.steepness)
-    cfg = deep.TrainConfig(learning_rate=settings.learning_rate,
-                           batch_size=settings.batch_size,
-                           epochs=settings.epochs,
-                           seed=derive_seed(seed, "sgd"),
-                           c_schedule=settings.c_schedule)
-    history = deep.train(net, obs, labels, cfg)
-    hardened = deep.harden(net)
-    return {"net": net, "hardened": hardened, "history": history,
-            "levels": levels, "channels": p}
+    return _train_and_harden(scenario, total_bits, p, "classification",
+                             settings, seed)
 
 
 def _get(parser, section, option, cast, default=None, required=False):

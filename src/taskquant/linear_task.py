@@ -23,6 +23,7 @@ __all__ = [
     "QuantizerDesign",
     "optimal_digital",
     "excess_mse",
+    "fixed_combiner_design",
     "mse_with_digital",
     "waterfill",
     "equalizing_rotation",
@@ -128,7 +129,13 @@ def _quantization_noise(support: float, levels: int) -> float:
     return 2.0 * support ** 2 / (3.0 * levels ** 2)
 
 
-def _regularized_gram(analog, model, support, levels):
+def _wiener_solve(analog, model: LinearTaskModel, support: float, levels: int):
+    """Cross-covariance C = A Sx Gamma^T (p x k) and the Wiener solve G^-1 C.
+
+    G is the Gram matrix of the combined observation plus white quantization
+    noise; the digital matrix is (G^-1 C)^T and the excess MSE is
+    trace(Gamma Sx Gamma^T) - <C, G^-1 C>, so one solve serves both.
+    """
     a = np.atleast_2d(np.asarray(analog, dtype=float))
     sigma2 = _quantization_noise(support, levels)
     gram = a @ model.obs_cov @ a.T + sigma2 * np.eye(a.shape[0])
@@ -136,7 +143,17 @@ def _regularized_gram(analog, model, support, levels):
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise NumericalError("regularized Gram matrix is ill-conditioned",
                              condition_number=cond)
-    return a, gram
+    cross = a @ model.obs_cov @ model.task_matrix.T  # p x k
+    try:
+        return cross, np.linalg.solve(gram, cross)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Wiener solve failed: {exc}",
+                             condition_number=np.linalg.cond(gram)) from exc
+
+
+def _excess(model: LinearTaskModel, cross, solved) -> float:
+    total = np.trace(model.estimate_covariance())
+    return float(total - np.einsum("ij,ij->", cross, solved))
 
 
 def optimal_digital(analog, model: LinearTaskModel, support: float,
@@ -147,27 +164,37 @@ def optimal_digital(analog, model: LinearTaskModel, support: float,
     observation plus white quantization noise of variance
     2 support^2 / (3 levels^2) per channel.
     """
-    a, gram = _regularized_gram(analog, model, support, levels)
-    cross = a @ model.obs_cov @ model.task_matrix.T  # p x k
-    try:
-        return np.linalg.solve(gram, cross).T
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"digital matrix solve failed: {exc}",
-                             condition_number=np.linalg.cond(gram)) from exc
+    return _wiener_solve(analog, model, support, levels)[1].T
 
 
 def excess_mse(analog, model: LinearTaskModel, support: float,
                levels: int) -> float:
     """Excess MSE of the pipeline with the optimal digital matrix."""
-    a, gram = _regularized_gram(analog, model, support, levels)
-    cross = a @ model.obs_cov @ model.task_matrix.T  # p x k
-    try:
-        solved = np.linalg.solve(gram, cross)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"excess MSE solve failed: {exc}",
-                             condition_number=np.linalg.cond(gram)) from exc
-    total = np.trace(model.estimate_covariance())
-    return float(total - np.einsum("ij,ij->", cross, solved))
+    return _excess(model, *_wiener_solve(analog, model, support, levels))
+
+
+def fixed_combiner_design(analog, model: LinearTaskModel, levels: int,
+                          support_scale: float, *, singular_values=(),
+                          waterline: float = float("nan")) -> QuantizerDesign:
+    """Shared ADC and Wiener digital matrix for a given combiner.
+
+    The support covers support_scale standard deviations of the loudest
+    combined channel, with the same dither margin as the joint design; the
+    digital matrix and the predicted excess MSE come from one Wiener solve.
+    singular_values and waterline are carried into the design for callers
+    that derived the combiner from a water-filled one.
+    """
+    _, margin = overload_safe_support(support_scale, levels, 1)
+    peak = np.einsum("ij,jk,ik->i", analog, model.obs_cov, analog).max()
+    if peak <= 0:
+        raise NumericalError("combiner passes no signal power")
+    support = float(np.sqrt(margin * peak))
+    cross, solved = _wiener_solve(analog, model, support, levels)
+    spec = UniformQuantizerSpec(levels=levels, support=support, dithered=True)
+    predicted = max(_excess(model, cross, solved), 0.0)
+    return QuantizerDesign(analog=analog, quantizer=spec, digital=solved.T,
+                           predicted_excess_mse=predicted,
+                           singular_values=singular_values, waterline=waterline)
 
 
 def mse_with_digital(analog, digital, model: LinearTaskModel, support: float,

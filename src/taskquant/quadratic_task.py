@@ -25,7 +25,6 @@ __all__ = [
     "lifted_covariance",
     "lifted_covariance_half",
     "to_linear_model",
-    "estimate_quadratic",
 ]
 
 _SYM_TOL = 1e-10
@@ -174,12 +173,3 @@ def to_linear_model(task: QuadraticTask, mode: str = "full",
     offsets.flags.writeable = False
     return LiftedTaskModel(model=model, offsets=offsets,
                            input_cov=task.input_cov, mode=mode)
-
-
-def estimate_quadratic(design_: QuantizerDesign, offsets, x, input_cov,
-                       rng: np.random.Generator | None = None,
-                       dither: bool | None = None,
-                       mode: str = "full") -> np.ndarray:
-    """Run the quadratic pipeline: lift, combine, quantize, recover, re-add means."""
-    lifted = lift(x, input_cov) if mode == "full" else lift_half(x, input_cov)
-    return estimate(design_, lifted, rng=rng, dither=dither) + np.asarray(offsets)

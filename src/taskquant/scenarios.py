@@ -29,6 +29,7 @@ __all__ = [
     "csi_perturb",
     "symbols_to_labels",
     "labels_to_symbols",
+    "bit_errors",
     "bit_error_rate",
 ]
 
@@ -218,11 +219,16 @@ def labels_to_symbols(labels, k: int) -> np.ndarray:
     return table[np.asarray(labels, dtype=int)]
 
 
-def bit_error_rate(predicted_labels, true_labels, k: int) -> float:
+def bit_errors(predicted_labels, true_labels, k: int) -> np.ndarray:
+    """Per-trial count of the k label bits that differ."""
     diff = np.bitwise_xor(np.asarray(predicted_labels, dtype=int),
                           np.asarray(true_labels, dtype=int))
-    errors = sum(((diff >> b) & 1).sum() for b in range(k))
-    return float(errors) / (k * len(diff))
+    return sum(((diff >> b) & 1) for b in range(k))
+
+
+def bit_error_rate(predicted_labels, true_labels, k: int) -> float:
+    errors = bit_errors(predicted_labels, true_labels, k)
+    return float(errors.sum()) / (k * len(errors))
 
 
 def _bpsk_sampler(mixing, noise_std, table):

@@ -145,13 +145,55 @@ def test_numerical_failure_exits_two(isi_config, monkeypatch, capsys):
 
 
 def test_sweep_stdout_is_a_valid_csv(isi_config, capsys):
-    assert cli.main(["sweep", "--config", str(isi_config)]) == 0
-    captured = capsys.readouterr()
-    assert captured.out.startswith(harness.CSV_HEADER + "\n")
-    rows = list(csv.reader(io.StringIO(captured.out)))
-    assert len(rows) == 1 + 4
-    assert all(len(row) == 6 for row in rows)
-    assert "task_based @ 8" in captured.err
+    for command, lines, note in (("sweep", 1 + 4, "task_based @ 8"),
+                                 ("simulate", 1 + 1, "# wall_time_ms=")):
+        assert cli.main([command, "--config", str(isi_config)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(harness.CSV_HEADER + "\n")
+        rows = list(csv.reader(io.StringIO(captured.out)))
+        assert len(rows) == lines
+        assert all(len(row) == 6 for row in rows)
+        assert note in captured.err
+
+
+def test_bound_rows_match_sweep_bound_rows(isi_config, tmp_path):
+    bound, swept = tmp_path / "bound.csv", tmp_path / "sweep.csv"
+    assert cli.main(["bound", "--config", str(isi_config),
+                     "--output", str(bound)]) == 0
+    assert cli.main(["sweep", "--config", str(isi_config),
+                     "--output", str(swept)]) == 0
+    sweep_bounds = [line for line in swept.read_text().splitlines()
+                    if line.split(",")[1] == "bound"]
+    expected = "".join(f"{line}\n" for line in [harness.CSV_HEADER, *sweep_bounds])
+    assert len(sweep_bounds) == 2
+    assert bound.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("command, edits, named", [
+    ("sweep", {"grid = 8 16": "grid = inf"}, "grid"),
+    ("sweep", {"grid = 8 16": "grid = 8 1e6"}, "bits"),
+    ("sweep", {"grid = 8 16": "grid = nan"}, "grid"),
+    ("sweep", {"channels = 8": "channels = 0"}, "channels"),
+    ("sweep", {"support_scale = 4.0": "support_scale = -4"}, "support_scale"),
+    ("sweep", {"support_scale = 4.0": "support_scale_range = 2 inf"},
+     "support_scale"),
+    ("simulate", {"levels = 16": "levels = 0"}, "levels"),
+    ("sweep --trials 0", {}, "trials"),
+], ids=["grid-inf", "grid-overflow", "grid-nan", "channels-zero",
+        "support-scale-negative", "support-scale-range-inf",
+        "simulate-levels-zero", "trials-flag-zero"])
+def test_malformed_config_exits_one_with_one_line(tmp_path, capsys, command,
+                                                  edits, named):
+    text = ISI_CFG
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert cli.main([*command.split(), "--config", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    errors = [line for line in err if line.startswith("error")]
+    assert errors == err[-1:]
+    assert named in errors[0]
 
 
 def test_simulate_runs_the_configured_levels():

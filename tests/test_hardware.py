@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from taskquant import scenarios
 from taskquant.hardware import (LorentzianCombiner, LorentzianElement,
                                 ParameterGrid, PartialConnect, PhaseOnly,
                                 PropagationModel, Unconstrained,
@@ -8,8 +9,11 @@ from taskquant.hardware import (LorentzianCombiner, LorentzianElement,
                                 dma_combiner, lorentzian_response,
                                 nearest_complex_blocks, project_lorentzian,
                                 project_phase_only, real_composite)
+from taskquant.errors import NumericalError
 from taskquant.linear_task import (LinearTaskModel, design, excess_mse,
-                                   mse_with_digital)
+                                   fixed_combiner_design, mse_with_digital,
+                                   optimal_digital)
+from taskquant.quant import overload_safe_support
 
 
 def random_model(rng, n, k):
@@ -203,6 +207,24 @@ def test_constrained_design_lorentzian_kind():
     blocks = nearest_complex_blocks(con.analog)
     assert np.all(blocks[0, 2:] == 0)
     assert np.all(blocks[1, :2] == 0)
+
+
+def test_fixed_combiner_design_is_one_wiener_solve():
+    model = scenarios.isi_scenario().model
+    levels, scale = 8, 4.0
+    _, margin = overload_safe_support(scale, levels, 1)
+    phase = project_phase_only(design(model, 8, levels, scale).analog)
+    for analog in (model.task_matrix, np.eye(model.n), phase):
+        des = fixed_combiner_design(analog, model, levels, scale)
+        var = np.einsum("ij,jk,ik->i", analog, model.obs_cov, analog)
+        support = des.quantizer.support
+        assert support == np.sqrt(margin * var.max())
+        np.testing.assert_array_equal(
+            des.digital, optimal_digital(analog, model, support, levels))
+        assert des.predicted_excess_mse == max(
+            excess_mse(analog, model, support, levels), 0.0)
+    with pytest.raises(NumericalError):
+        fixed_combiner_design(np.zeros((8, model.n)), model, levels, scale)
 
 
 def test_element_validation():

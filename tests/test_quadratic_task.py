@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from taskquant.linear_task import design
-from taskquant.quadratic_task import (QuadraticTask, estimate_quadratic, lift,
-                                      lift_half, lifted_covariance,
-                                      lifted_covariance_half, to_linear_model)
+from taskquant.quadratic_task import (QuadraticTask, lift, lift_half,
+                                      lifted_covariance, lifted_covariance_half,
+                                      to_linear_model)
 
 
 def exp_cov(n):
@@ -140,8 +140,7 @@ def test_estimate_quadratic_fine_limit_and_offsets():
     # lifted coordinates have heavy tails, so leave generous headroom
     des = design(lifted.model, lifted.model.k, 2 ** 12, support_scale=12.0)
     x = rng.standard_normal((256, 3)) @ np.linalg.cholesky(cov).T
-    out = estimate_quadratic(des, lifted.offsets, x, cov, dither=False,
-                             mode="half")
+    out = lifted.estimate(des, x, dither=False)
     np.testing.assert_allclose(out, task.values(x), atol=0.05)
     # deterministic at x = 0 without dither
     first = lifted.estimate(des, np.zeros((1, 3)), dither=False)
