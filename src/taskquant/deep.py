@@ -57,14 +57,24 @@ class DenseLayer:
             raise ValueError(f"activation must be one of {_ACTIVATIONS}")
 
 
+def _tanh_terms(z, outer, shifts, steepness):
+    """The tanh terms tanh(steepness * z - shifts) in one fresh buffer, and
+    their outer-weighted sum over the last axis.
+
+    Every soft-quantizer evaluation goes through here, so the forward pass and
+    `backward` reduce the terms in the same order and agree bit for bit.
+    """
+    t = z[..., None] * steepness
+    t -= shifts
+    np.tanh(t, out=t)
+    return t, np.einsum("...l,...l->...", t, outer)
+
+
 def soft_quantize(z, outer, shifts, steepness):
     """Differentiable quantizer: sum_i outer_i * tanh(steepness_i * z - shifts_i)."""
-    z = np.asarray(z, dtype=float)
-    outer = np.asarray(outer, dtype=float)
-    shifts = np.asarray(shifts, dtype=float)
-    steepness = np.asarray(steepness, dtype=float)
-    t = np.tanh(z[..., None] * steepness - shifts)
-    return (outer * t).sum(axis=-1)
+    z, outer, shifts, steepness = (np.asarray(a, dtype=float)
+                                   for a in (z, outer, shifts, steepness))
+    return _tanh_terms(z, outer, shifts, steepness)[1]
 
 
 @dataclass
@@ -218,8 +228,8 @@ def backward(net: Network, x, targets):
     analog_cache = []
     z = _dense_forward(net.analog, x, analog_cache)
     qz = net.quantizer
-    t = np.tanh(z[:, :, None] * qz.steepness - qz.shifts)
-    q = (qz.outer * t).sum(axis=2)
+    # t is the one (batch, channels, levels - 1) buffer; it later holds sech^2
+    t, q = _tanh_terms(z, qz.outer, qz.shifts, qz.steepness)
     digital_cache = []
     out = _dense_forward(net.digital, q, digital_cache)
 
@@ -249,10 +259,11 @@ def backward(net: Network, x, targets):
         return grads, upstream
 
     digital_grads, dq = dense_backward(net.digital, digital_cache, grad)
-    sech2 = 1.0 - t ** 2
-    d_outer = (dq[:, :, None] * t).sum(axis=0)
-    d_shifts = -(dq[:, :, None] * qz.outer * sech2).sum(axis=0)
-    dz = (dq[:, :, None] * qz.outer * qz.steepness * sech2).sum(axis=2)
+    d_outer = np.einsum("bc,bcl->cl", dq, t)
+    t *= t
+    sech2 = np.subtract(1.0, t, out=t)
+    d_shifts = -qz.outer * np.einsum("bc,bcl->cl", dq, sech2)
+    dz = dq * np.einsum("bcl,cl->bc", sech2, qz.outer * qz.steepness)
     analog_grads, _ = dense_backward(net.analog, analog_cache, dz)
 
     return value, Gradients(analog=analog_grads, quant_outer=d_outer,
@@ -274,6 +285,17 @@ class TrainConfig:
             sched = np.asarray(self.c_schedule, dtype=float)
             if np.any(sched <= 0) or np.any(np.diff(sched) < 0):
                 raise ValueError("c_schedule must be positive and non-decreasing")
+
+
+def _parameter_steps(net: Network, grads: Gradients):
+    """(parameter array, its gradient) for every trainable array of `net`."""
+    for layers, layer_grads in ((net.analog, grads.analog),
+                                (net.digital, grads.digital)):
+        for layer, (dw, db) in zip(layers, layer_grads):
+            yield layer.weights, dw
+            yield layer.bias, db
+    yield net.quantizer.outer, grads.quant_outer
+    yield net.quantizer.shifts, grads.quant_shifts
 
 
 def train(net: Network, x, targets, config: TrainConfig,
@@ -306,14 +328,9 @@ def train(net: Network, x, targets, config: TrainConfig,
                 raise TrainingDiverged(
                     f"loss became {value} at epoch {epoch}, step {start // config.batch_size}")
             epoch_losses.append(value)
-            for layer, (dw, db) in zip(net.analog, grads.analog):
-                layer.weights -= lr * dw
-                layer.bias -= lr * db
-            net.quantizer.outer -= lr * grads.quant_outer
-            net.quantizer.shifts -= lr * grads.quant_shifts
-            for layer, (dw, db) in zip(net.digital, grads.digital):
-                layer.weights -= lr * dw
-                layer.bias -= lr * db
+            for param, grad in _parameter_steps(net, grads):
+                grad *= lr          # the gradient arrays are this step's own
+                param -= grad
         history.append(float(np.mean(epoch_losses)))
         if verbose:
             print(f"epoch {epoch + 1}/{config.epochs}: loss {history[-1]:.6f}")

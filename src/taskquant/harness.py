@@ -269,6 +269,22 @@ def quantizer_count(method: str, scenario, channels: Optional[int]) -> int:
     return channels or recommend_quantizers(scenario.model)
 
 
+_MSE_METHODS = ("task_based", "quadratic", "constrained",
+                "mmse_then_quantize", "digital_only")
+
+
+def _rate_levels(config: ExperimentConfig, scenario, bits: float):
+    """(levels per quantizer, quantizer count) of a rate-axis row at `bits`.
+
+    The per-dimension baseline on a quadratic scenario floors its levels at
+    two; every other method needs at least 1 bit per quantizer.
+    """
+    method = config.method
+    channels = quantizer_count(method, scenario, config.channels)
+    floor = scenario.kind == "quadratic" and method == "digital_only"
+    return levels_for(bits, channels, floor_at_two=floor), channels
+
+
 def _mse_predictor(config: ExperimentConfig, scenario, bits: float):
     """Build the per-grid-point block function (rng, count) -> squared errors.
 
@@ -278,16 +294,13 @@ def _mse_predictor(config: ExperimentConfig, scenario, bits: float):
     per-dimension baseline whose levels floor at two.
     """
     method = config.method
-    if method not in ("task_based", "quadratic", "constrained",
-                      "mmse_then_quantize", "digital_only"):
+    if method not in _MSE_METHODS:
         raise ConfigError(f"[sweep] method: {method!r} does not produce MSE rows")
     quadratic = scenario.kind == "quadratic"
     if method == "constrained" and quadratic:
         raise ConfigError("[sweep] method: constrained applies to linear scenarios")
     model = scenario.model
-    channels = quantizer_count(method, scenario, config.channels)
-    levels = levels_for(bits, channels,
-                        floor_at_two=quadratic and method == "digital_only")
+    levels, channels = _rate_levels(config, scenario, bits)
     scale = feasible_support_scale(_support_scale_at(config, bits), levels)
     realized = channels * math.log2(levels)
 
@@ -416,6 +429,9 @@ def sweep(config: ExperimentConfig, verbose: bool = False):
     if not config.grid:
         raise ConfigError("[sweep] grid: at least one point required")
     scenario = build_scenario(config)
+    if config.axis == "rate_bits" and config.method in (*_MSE_METHODS, "deep"):
+        for value in config.grid:   # an infeasible point fails before any trial
+            _rate_levels(config, scenario, value)
     rows = []
     for idx, value in enumerate(config.grid):
         seed = derive_seed(config.seed, config.method, idx)

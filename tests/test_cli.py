@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from taskquant import cli, harness, scenarios
+from taskquant.errors import ConfigError
 
 ISI_CFG = """
 [scenario]
@@ -194,6 +195,26 @@ def test_malformed_config_exits_one_with_one_line(tmp_path, capsys, command,
     errors = [line for line in err if line.startswith("error")]
     assert errors == err[-1:]
     assert named in errors[0]
+
+
+def test_infeasible_grid_point_fails_before_any_trial(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(ISI_CFG.replace("grid = 8 16", "grid = 8 1e6"))
+    assert cli.main(["sweep", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error")
+    assert not any("@ 8" in line for line in err)
+
+
+def test_infeasible_deep_grid_trains_no_network(monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before checking the grid")
+
+    monkeypatch.setattr(harness.deep, "train", no_training)
+    cfg = harness.ExperimentConfig(scenario="isi", method="deep", channels=8,
+                                   grid=(8.0, 1e6))
+    with pytest.raises(ConfigError, match="bits"):
+        harness.sweep(cfg)
 
 
 def test_simulate_runs_the_configured_levels():

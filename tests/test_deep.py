@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -381,3 +383,105 @@ def test_steepness_schedule_hook():
         deep.TrainConfig(c_schedule=(2.0, 1.0))
     with pytest.raises(ValueError):
         deep.TrainConfig(learning_rate=-1.0)
+
+
+def reference_backward(net, x, targets):
+    """Loss and gradients from the plain broadcast formulas of the soft
+    quantizer, every (batch, channels, levels - 1) product spelled out."""
+    batch = x.shape[0]
+    inputs, act = [], x
+    for layer in net.analog:
+        inputs.append(act)
+        act = act @ layer.weights.T + layer.bias
+        if layer.activation == "tanh":
+            act = np.tanh(act)
+    qz = net.quantizer
+    t = np.tanh(act[:, :, None] * qz.steepness - qz.shifts)
+    act = (qz.outer * t).sum(axis=2)
+    dig_inputs = []
+    for layer in net.digital:
+        dig_inputs.append(act)
+        act = act @ layer.weights.T + layer.bias
+        if layer.activation == "tanh":
+            act = np.tanh(act)
+    if net.head == "estimation":
+        value = float(((act - targets) ** 2).sum(axis=1).mean())
+        up = 2.0 * (act - targets) / batch
+    else:
+        probs = np.exp(act - act.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        value = float(-np.log(probs[np.arange(batch), targets]).mean())
+        up = (probs - np.eye(act.shape[1])[targets]) / batch
+
+    def dense(layers, layer_inputs, up):
+        grads = []
+        for layer, inp in reversed(list(zip(layers, layer_inputs))):
+            if layer.activation == "tanh":
+                up = up * (1.0 - np.tanh(inp @ layer.weights.T + layer.bias) ** 2)
+            grads.insert(0, (up.T @ inp, up.sum(axis=0)))
+            up = up @ layer.weights
+        return grads, up
+
+    digital, dq = dense(net.digital, dig_inputs, up)
+    sech2 = 1.0 - t ** 2
+    d_outer = (dq[:, :, None] * t).sum(axis=0)
+    d_shifts = -(dq[:, :, None] * qz.outer * sech2).sum(axis=0)
+    dz = (dq[:, :, None] * qz.outer * qz.steepness * sech2).sum(axis=2)
+    analog, _ = dense(net.analog, inputs, dz)
+    return value, deep.Gradients(analog=analog, quant_outer=d_outer,
+                                 quant_shifts=d_shifts, digital=digital)
+
+
+def wide_net(seed, head, levels, hidden=(9,)):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((128, 12))
+    net, _ = small_net(rng, head=head, n=12, p=10, k=2, levels=levels,
+                       hidden_analog=hidden, hidden_digital=hidden,
+                       steepness=50.0)
+    targets = (rng.standard_normal((128, 2)) if head == "estimation"
+               else rng.integers(0, 4, size=128))
+    return net, x, targets
+
+
+@pytest.mark.parametrize("head", ["estimation", "classification"])
+@pytest.mark.parametrize("levels", [2, 8, 64])
+def test_backward_matches_broadcast_reference(head, levels):
+    worst = 0.0
+    for seed in range(4):
+        net, x, targets = wide_net(seed, head, levels)
+        value, grads = deep.backward(net, x, targets)
+        ref_value, ref = reference_backward(net, x, targets)
+        assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+        pairs = [(grads.quant_outer, ref.quant_outer),
+                 (grads.quant_shifts, ref.quant_shifts)]
+        for mine, theirs in ((grads.analog, ref.analog),
+                             (grads.digital, ref.digital)):
+            for (dw, db), (rw, rb) in zip(mine, theirs):
+                pairs += [(dw, rw), (db, rb)]
+        assert len(pairs) == 10      # two layers on each side of the quantizer
+        for got, want in pairs:
+            worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("head", ["estimation", "classification"])
+def test_backward_loss_equals_forward_loss_bitwise(head):
+    for seed in range(10):
+        net, x, targets = wide_net(seed, head, 64)
+        assert deep.backward(net, x, targets)[0] == deep.loss(net, x, targets)
+
+
+def test_backward_memory_stays_near_one_tanh_tensor():
+    rng = np.random.default_rng(21)
+    batch, channels, levels = 128, 40, 64
+    x = rng.standard_normal((batch, 80))
+    net = deep.build_estimation_network(rng, 80, channels, 16, levels, x)
+    targets = rng.standard_normal((batch, 16))
+    deep.backward(net, x, targets)
+    tracemalloc.start()
+    try:
+        deep.backward(net, x, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * batch * channels * (levels - 1) * 8
