@@ -298,8 +298,7 @@ def _parameter_steps(net: Network, grads: Gradients):
     yield net.quantizer.shifts, grads.quant_shifts
 
 
-def train(net: Network, x, targets, config: TrainConfig,
-          verbose: bool = False) -> list:
+def train(net: Network, x, targets, config: TrainConfig) -> list:
     """Plain SGD over shuffled mini-batches; deterministic for a fixed seed.
 
     Returns the per-epoch mean training loss. Aborts if the loss leaves the
@@ -332,8 +331,6 @@ def train(net: Network, x, targets, config: TrainConfig,
                 grad *= lr          # the gradient arrays are this step's own
                 param -= grad
         history.append(float(np.mean(epoch_losses)))
-        if verbose:
-            print(f"epoch {epoch + 1}/{config.epochs}: loss {history[-1]:.6f}")
     return history
 
 

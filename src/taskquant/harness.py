@@ -13,7 +13,7 @@ import math
 import sys
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -150,6 +150,8 @@ class ExperimentConfig:
                               "and positive")
         if self.axis not in ("rate_bits", "snr_db"):
             raise ConfigError(f"[sweep] axis: unknown axis {self.axis!r}")
+        if not 0.0 <= self.csi_fraction < math.inf:
+            raise ConfigError("[scenario] csi_fraction: must be finite and >= 0")
 
 
 _METHODS = ("task_based", "mmse_then_quantize", "digital_only", "deep",
@@ -428,10 +430,11 @@ def sweep(config: ExperimentConfig, verbose: bool = False):
         raise ConfigError(f"[sweep] method: unknown method {config.method!r}")
     if not config.grid:
         raise ConfigError("[sweep] grid: at least one point required")
-    scenario = build_scenario(config)
-    if config.axis == "rate_bits" and config.method in (*_MSE_METHODS, "deep"):
-        for value in config.grid:   # an infeasible point fails before any trial
-            _rate_levels(config, scenario, value)
+    if config.axis == "rate_bits":   # SNR points each build their own scenario
+        scenario = build_scenario(config)
+        if config.method in (*_MSE_METHODS, "deep"):
+            for value in config.grid:   # an infeasible point fails before any trial
+                _rate_levels(config, scenario, value)
     rows = []
     for idx, value in enumerate(config.grid):
         seed = derive_seed(config.seed, config.method, idx)
@@ -446,7 +449,7 @@ def sweep(config: ExperimentConfig, verbose: bool = False):
                 row = ResultRow(axis=value, method=config.method, metric="mse",
                                 estimate=est, std_error=se, trials=config.trials)
         else:
-            row = _snr_row(config, scenario, value, seed)
+            row = _snr_row(config, value, seed)
         row.axis = value
         row.wall_time_ms = (time.perf_counter() - start) * 1000.0
         rows.append(row)
@@ -474,13 +477,10 @@ def _deep_mse_row(config: ExperimentConfig, scenario, bits: float,
                      trials=config.train.test_size)
 
 
-def _snr_row(config: ExperimentConfig, scenario, snr_db: float,
-             seed: int) -> ResultRow:
-    if scenario.kind != "classification":
+def _snr_row(config: ExperimentConfig, snr_db: float, seed: int) -> ResultRow:
+    point = build_scenario(replace(config, snr_db=snr_db))
+    if point.kind != "classification":
         raise ConfigError("[sweep] axis: snr_db sweeps need a classification scenario")
-    point = scenarios.bpsk_scenario(10.0 ** (snr_db / 10.0))
-    if config.csi_fraction > 0:
-        point = scenarios.csi_perturb(point, config.csi_fraction, config.csi_seed)
     bits = config.rate_bits if config.rate_bits is not None else float(point.n)
     if config.method == "map":
         row = simulate_ber(lambda x: scenarios.map_detect(x, point), point,

@@ -237,29 +237,12 @@ def waterfill(singvals, margin: float, levels: int, channels: int):
     coef = 2.0 * margin / (3.0 * levels ** 2 * channels)
     target = 1.0 / coef
     csum = np.cumsum(positive)
-    waterline = None
+    # stop at the first m whose waterline leaves mode m + 1 dry; mode m is
+    # wet there: z_1 s_1 = target + 1, and z_{m-1} s_m > 1 gives z_m s_m > 1
     for m in range(1, positive.size + 1):
-        cand = (target + m) / csum[m - 1]
-        above = cand * positive[m - 1] >= 1.0 - 1e-12
-        below = m == positive.size or cand * positive[m] <= 1.0 + 1e-12
-        if above and below:
-            waterline = cand
+        waterline = (target + m) / csum[m - 1]
+        if m == positive.size or waterline * positive[m] <= 1.0 + 1e-12:
             break
-    if waterline is None:
-        # ties or rounding defeated the exact scan; fall back to bisection
-        def filled(z):
-            return np.maximum(z * positive - 1.0, 0.0).sum()
-
-        lo, hi = 0.0, (target + positive.size) / csum[-1]
-        while filled(hi) < target:
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if filled(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        waterline = 0.5 * (lo + hi)
 
     gains = np.sqrt(coef * np.maximum(waterline * padded - 1.0, 0.0))
     return gains, float(waterline)

@@ -52,6 +52,7 @@ class ScenarioSpec:
     noise_var: Optional[float] = None
     prior_cov: Optional[np.ndarray] = None  # covariance of the task source
     symbols: Optional[np.ndarray] = None    # class index -> symbol vector
+    draw_tasks: Optional[Callable] = None   # (rng, count) -> tasks s of x = H s + w
 
     def __post_init__(self):
         if self.train_sampler is None:
@@ -59,19 +60,11 @@ class ScenarioSpec:
 
     @property
     def n(self) -> int:
-        if self.model is not None and self.kind == "linear":
-            return self.model.n
-        if self.task is not None:
-            return self.task.n
-        return self.mixing.shape[0]
+        return self.task.n if self.task is not None else self.mixing.shape[0]
 
     @property
     def k(self) -> int:
-        if self.model is not None and self.kind == "linear":
-            return self.model.k
-        if self.task is not None:
-            return self.task.k
-        return self.mixing.shape[1]
+        return self.task.k if self.task is not None else self.mixing.shape[1]
 
     def estimate_spectrum(self) -> np.ndarray:
         """Descending eigenvalues of the task-estimate covariance."""
@@ -96,31 +89,53 @@ def _joint_root(mixing, cov_s, noise_var, combiner) -> np.ndarray:
     return (q * np.sqrt(np.clip(w, 0.0, None))) @ q.T
 
 
-def _gaussian_sampler(mixing, cov_s, noise_var):
-    h = mixing
-    chol_s = np.linalg.cholesky(cov_s)
+def _observe(mixing, s, noise_std, rng) -> np.ndarray:
+    """x = s H^T + noise_std * w, with w standard normal from rng."""
+    return s @ mixing.T + noise_std * rng.standard_normal((s.shape[0], mixing.shape[0]))
+
+
+def _mixing_sampler(draw_tasks, mixing, noise_var, cov_s=None):
+    """Sampler of (tasks, x = H s + w) with w of variance noise_var.
+
+    Gaussian task priors (cov_s given) also take a real combiner A and then
+    draw (tasks, A x) jointly without building the observations.
+    """
     noise_std = np.sqrt(noise_var)
     last = [None]  # (combiner copy, joint root), reused while the combiner repeats
 
     def sample(rng: np.random.Generator, count: int, combiner=None):
-        """(tasks, observations), or (tasks, observations @ combiner.T) drawn
-        jointly without the observations when a real combiner is given."""
         if combiner is not None:
-            if np.iscomplexobj(combiner):
-                raise ValueError("the joint draw needs a real combiner")
+            if cov_s is None or np.iscomplexobj(combiner):
+                raise ValueError("the joint draw needs a Gaussian task prior "
+                                 "and a real combiner")
             a = np.asarray(combiner, dtype=float)
             entry = last[0]
             if entry is None or not np.array_equal(entry[0], a):
-                entry = (a.copy(), _joint_root(h, cov_s, noise_var, a))
+                entry = (a.copy(), _joint_root(mixing, cov_s, noise_var, a))
                 last[0] = entry
             z = rng.standard_normal((count, entry[1].shape[0])) @ entry[1]
-            k = chol_s.shape[0]
+            k = cov_s.shape[0]
             return z[:, :k], z[:, k:]
-        s = rng.standard_normal((count, chol_s.shape[0])) @ chol_s.T
-        x = s @ h.T + noise_std * rng.standard_normal((count, h.shape[0]))
-        return s, x
+        s = draw_tasks(rng, count)
+        return s, _observe(mixing, s, noise_std, rng)
 
     return sample
+
+
+def _linear_gaussian(name: str, mixing, cov_s, noise_var: float) -> ScenarioSpec:
+    """Estimate s ~ N(0, cov_s) from x = H s + w, w ~ N(0, noise_var I)."""
+    gamma, mmse = gaussian_mmse(mixing, cov_s, noise_var)
+    obs_cov = mixing @ cov_s @ mixing.T + noise_var * np.eye(mixing.shape[0])
+    model = LinearTaskModel(obs_cov=obs_cov, task_matrix=gamma, mmse_floor=mmse)
+    chol = np.linalg.cholesky(cov_s)
+
+    def draw_tasks(rng, count):
+        return rng.standard_normal((count, chol.shape[0])) @ chol.T
+
+    return ScenarioSpec(name=name, kind="linear", model=model,
+                        sampler=_mixing_sampler(draw_tasks, mixing, noise_var, cov_s),
+                        analytic_gamma=gamma, analytic_mmse=mmse, mixing=mixing,
+                        noise_var=noise_var, prior_cov=cov_s, draw_tasks=draw_tasks)
 
 
 def isi_scenario() -> ScenarioSpec:
@@ -135,13 +150,7 @@ def isi_scenario() -> ScenarioSpec:
     cov_s = np.exp(-np.abs(idx[:, None] - idx[None, :]))
     taps = np.arange(1, n + 1)[:, None] - np.arange(1, k + 1)[None, :] + 1
     mixing = np.where(taps > 0, np.cos(2 * np.pi * taps / n), 0.0)
-    gamma, mmse = gaussian_mmse(mixing, cov_s, 1.0)
-    obs_cov = mixing @ cov_s @ mixing.T + np.eye(n)
-    model = LinearTaskModel(obs_cov=obs_cov, task_matrix=gamma, mmse_floor=mmse)
-    sampler = _gaussian_sampler(mixing, cov_s, 1.0)
-    return ScenarioSpec(name="isi", kind="linear", sampler=sampler, model=model,
-                        analytic_gamma=gamma, analytic_mmse=mmse,
-                        mixing=mixing, noise_var=1.0, prior_cov=cov_s)
+    return _linear_gaussian("isi", mixing, cov_s, 1.0)
 
 
 def covariance_scenario() -> ScenarioSpec:
@@ -190,15 +199,7 @@ def dft_pilot_scenario() -> ScenarioSpec:
     complex_mix = np.kron(phi, np.eye(reps))
     mixing = np.block([[complex_mix.real, complex_mix.imag],
                        [-complex_mix.imag, complex_mix.real]])
-    noise_var = 0.25
-    k = mixing.shape[1]
-    gamma, mmse = gaussian_mmse(mixing, np.eye(k), noise_var)
-    obs_cov = mixing @ mixing.T + noise_var * np.eye(mixing.shape[0])
-    model = LinearTaskModel(obs_cov=obs_cov, task_matrix=gamma, mmse_floor=mmse)
-    sampler = _gaussian_sampler(mixing, np.eye(k), noise_var)
-    return ScenarioSpec(name="dft_pilot", kind="linear", sampler=sampler,
-                        model=model, analytic_gamma=gamma, analytic_mmse=mmse,
-                        mixing=mixing, noise_var=noise_var, prior_cov=np.eye(k))
+    return _linear_gaussian("dft_pilot", mixing, np.eye(mixing.shape[1]), 0.25)
 
 
 def _symbol_table(k: int) -> np.ndarray:
@@ -231,16 +232,6 @@ def bit_error_rate(predicted_labels, true_labels, k: int) -> float:
     return float(errors.sum()) / (k * len(errors))
 
 
-def _bpsk_sampler(mixing, noise_std, table):
-    def sample(rng: np.random.Generator, count: int):
-        labels = rng.integers(0, table.shape[0], size=count)
-        s = table[labels]
-        x = s @ mixing.T + noise_std * rng.standard_normal((count, mixing.shape[0]))
-        return s, x
-
-    return sample
-
-
 def bpsk_scenario(snr: float) -> ScenarioSpec:
     """Symbol detection of four binary symbols through a 12 x 4 channel.
 
@@ -254,9 +245,14 @@ def bpsk_scenario(snr: float) -> ScenarioSpec:
                             - np.arange(1, k + 1)[None, :])).astype(float)
     noise_var = 1.0 / snr
     table = _symbol_table(k)
-    sampler = _bpsk_sampler(mixing, np.sqrt(noise_var), table)
-    return ScenarioSpec(name="bpsk", kind="classification", sampler=sampler,
-                        mixing=mixing, noise_var=noise_var, symbols=table)
+
+    def draw_tasks(rng, count):
+        return table[rng.integers(0, table.shape[0], size=count)]
+
+    return ScenarioSpec(name="bpsk", kind="classification",
+                        sampler=_mixing_sampler(draw_tasks, mixing, noise_var),
+                        mixing=mixing, noise_var=noise_var, symbols=table,
+                        draw_tasks=draw_tasks)
 
 
 def map_detect(observations, scenario: ScenarioSpec) -> np.ndarray:
@@ -306,32 +302,19 @@ def csi_perturb(scenario: ScenarioSpec, fraction: float, seed: int) -> ScenarioS
     perturbation stream so different uncertainty realizations stay
     reproducible.
     """
-    if scenario.mixing is None:
-        raise ValueError(f"scenario {scenario.name} has no mixing matrix")
+    if scenario.draw_tasks is None:
+        raise ValueError("csi_perturb applies to sampled-mixing scenarios")
     if fraction < 0:
         raise ValueError("fraction must be nonnegative")
-    mixing = scenario.mixing
+    mixing, draw_tasks = scenario.mixing, scenario.draw_tasks
     magnitude = np.abs(mixing)
     noise_var = scenario.noise_var
-    if scenario.kind == "classification":
-        table = scenario.symbols
-
-        def draw_tasks(rng, count):
-            return table[rng.integers(0, table.shape[0], size=count)]
-    elif scenario.kind == "linear":
-        chol = np.linalg.cholesky(scenario.prior_cov)
-
-        def draw_tasks(rng, count):
-            return rng.standard_normal((count, chol.shape[0])) @ chol.T
-    else:
-        raise ValueError("csi_perturb applies to sampled-mixing scenarios")
 
     def train(rng: np.random.Generator, count: int):
         pert = np.random.default_rng([seed, int(rng.integers(2 ** 63))])
         s = draw_tasks(rng, count)
         std = np.sqrt(noise_var + fraction * (s * s) @ magnitude.T)
-        x = s @ mixing.T + std * pert.standard_normal((count, mixing.shape[0]))
-        return s, x
+        return s, _observe(mixing, s, std, pert)
 
     return dataclasses.replace(scenario, name=f"{scenario.name}+csi",
                                train_sampler=train)

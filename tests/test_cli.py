@@ -180,9 +180,12 @@ def test_bound_rows_match_sweep_bound_rows(isi_config, tmp_path):
      "support_scale"),
     ("simulate", {"levels = 16": "levels = 0"}, "levels"),
     ("sweep --trials 0", {}, "trials"),
+    ("sweep", {"name = isi": "name = isi\ncsi_fraction = -0.5"}, "csi_fraction"),
+    ("sweep", {"name = isi": "name = isi\ncsi_fraction = nan"}, "csi_fraction"),
 ], ids=["grid-inf", "grid-overflow", "grid-nan", "channels-zero",
         "support-scale-negative", "support-scale-range-inf",
-        "simulate-levels-zero", "trials-flag-zero"])
+        "simulate-levels-zero", "trials-flag-zero", "csi-fraction-negative",
+        "csi-fraction-nan"])
 def test_malformed_config_exits_one_with_one_line(tmp_path, capsys, command,
                                                   edits, named):
     text = ISI_CFG
@@ -195,6 +198,31 @@ def test_malformed_config_exits_one_with_one_line(tmp_path, capsys, command,
     errors = [line for line in err if line.startswith("error")]
     assert errors == err[-1:]
     assert named in errors[0]
+
+
+@pytest.mark.parametrize("method", ["map", "quantized_map"])
+def test_snr_sweep_needs_no_scenario_snr(tmp_path, capsys, method):
+    # each SNR point is its own scenario: [scenario] snr_db changes no row
+    text = f"""
+[scenario]
+name = bpsk
+csi_fraction = 0.2
+
+[sweep]
+axis = snr_db
+grid = 6 8
+method = {method}
+trials = 3000
+seed = 4
+"""
+    rows = []
+    for scenario_snr in ("", "snr_db = 10\n"):
+        path = tmp_path / "snr.cfg"
+        path.write_text(text.replace("name = bpsk\n", "name = bpsk\n" + scenario_snr))
+        assert cli.main(["sweep", "--config", str(path)]) == 0
+        rows.append(capsys.readouterr().out)
+    assert rows[0] == rows[1]
+    assert len(rows[0].splitlines()) == 1 + 2
 
 
 def test_infeasible_grid_point_fails_before_any_trial(tmp_path, capsys):

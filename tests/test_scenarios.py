@@ -186,16 +186,41 @@ def test_joint_sampler_overload_rate_matches_full_sampler():
         assert abs(joint - full) <= 4 * se + 1e-12
 
 
-@pytest.mark.parametrize("make", [scenarios.isi_scenario,
-                                  scenarios.dft_pilot_scenario])
+def _reference_tasks(sc, rng, count):
+    # the task draws as each scenario first wrote them
+    if sc.symbols is not None:
+        return sc.symbols[rng.integers(0, sc.symbols.shape[0], size=count)]
+    return rng.standard_normal((count, sc.k)) @ np.linalg.cholesky(sc.prior_cov).T
+
+
+@pytest.mark.parametrize("make", [
+    scenarios.isi_scenario, scenarios.dft_pilot_scenario,
+    pytest.param(lambda: scenarios.bpsk_scenario(10.0), id="bpsk_scenario")])
 def test_sampler_without_combiner_is_unchanged(make):
     # the full draw as it was before the joint draw existed, byte for byte
     sc = make()
     s, x = sc.sampler(np.random.default_rng(41), 3000)
     ref = np.random.default_rng(41)
-    chol = np.linalg.cholesky(sc.prior_cov)
-    s_ref = ref.standard_normal((3000, sc.k)) @ chol.T
+    s_ref = _reference_tasks(sc, ref, 3000)
     x_ref = (s_ref @ sc.mixing.T
              + np.sqrt(sc.noise_var) * ref.standard_normal((3000, sc.n)))
+    assert s.tobytes() == s_ref.tobytes()
+    assert x.tobytes() == x_ref.tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    scenarios.isi_scenario,
+    pytest.param(lambda: scenarios.bpsk_scenario(10.0), id="bpsk_scenario")])
+def test_csi_train_sampler_draw_order_is_pinned(make):
+    # salted stream first, then the tasks, then one normal per antenna
+    sc = make()
+    fraction, seed, count = 0.2, 13, 2000
+    s, x = scenarios.csi_perturb(sc, fraction, seed).train_sampler(
+        np.random.default_rng(42), count)
+    ref = np.random.default_rng(42)
+    pert = np.random.default_rng([seed, int(ref.integers(2 ** 63))])
+    s_ref = _reference_tasks(sc, ref, count)
+    std = np.sqrt(sc.noise_var + fraction * (s_ref * s_ref) @ np.abs(sc.mixing).T)
+    x_ref = s_ref @ sc.mixing.T + std * pert.standard_normal((count, sc.n))
     assert s.tobytes() == s_ref.tobytes()
     assert x.tobytes() == x_ref.tobytes()
