@@ -27,6 +27,8 @@ class SpectrumBound:
 
     def __post_init__(self):
         eig = np.atleast_1d(np.asarray(self.eigenvalues, dtype=float))
+        if not np.all(np.isfinite(np.append(eig, [self.mmse_floor, self.rate_bits]))):
+            raise ValueError("eigenvalues, mmse_floor and rate_bits must be finite")
         if np.any(eig < 0):
             raise ValueError("eigenvalues must be nonnegative")
         if eig.size > 1 and np.any(np.diff(eig) > 1e-12 * max(eig.max(), 1.0)):
@@ -64,27 +66,20 @@ def indirect_drf(bound: SpectrumBound) -> float:
     """Distortion of the best rate_bits-bit code for the task estimate, plus floor.
 
     Reverse water-filling: distortion sum(min(level, eig_i)) with level the
-    level at which sum(log2(eig_i / level)^+ ) / 2 equals the bit budget,
-    found by bisection.
+    level at which sum(log2(eig_i / level)^+) / 2 equals the bit budget. With
+    the m largest modes wet, log2 level = (sum_{i<=m} log2 eig_i - 2 R) / m,
+    solved exactly on the sorted spectrum (Cover & Thomas, Thm 10.3.3).
     """
     eig = bound.eigenvalues[bound.eigenvalues > 0]
     if eig.size == 0:
         return bound.mmse_floor
     if bound.rate_bits == 0:
         return bound.mmse_floor + float(eig.sum())
-
-    def rate(level):
-        return 0.5 * np.log2(np.maximum(eig / level, 1.0)).sum()
-
-    lo = eig.min() * 2.0 ** (-2.0 * bound.rate_bits)
-    hi = eig.max()
-    for _ in range(200):
-        if hi - lo <= 1e-12 * hi:
+    log_eig = np.log2(eig)
+    log_csum = np.cumsum(log_eig)
+    # stop at the first m whose level leaves mode m + 1 dry
+    for m in range(1, eig.size + 1):
+        log_level = (log_csum[m - 1] - 2.0 * bound.rate_bits) / m
+        if m == eig.size or log_eig[m] <= log_level:
             break
-        mid = 0.5 * (lo + hi)
-        if rate(mid) > bound.rate_bits:
-            lo = mid
-        else:
-            hi = mid
-    level = 0.5 * (lo + hi)
-    return bound.mmse_floor + float(np.minimum(eig, level).sum())
+    return bound.mmse_floor + float(np.minimum(eig, 2.0 ** log_level).sum())

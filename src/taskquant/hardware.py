@@ -47,13 +47,16 @@ class LorentzianElement:
             raise ValueError("element parameters must be positive")
 
 
+def _lorentzian(strength, damping, resonance, omega):
+    """The Lorentzian law F w^2 / (w_R^2 - w^2 - j w chi); broadcasts."""
+    return strength * omega ** 2 / (resonance ** 2 - omega ** 2 - 1j * omega * damping)
+
+
 def lorentzian_response(element: LorentzianElement, omega: float) -> complex:
     """Element response F w^2 / (w_R^2 - w^2 - j w chi) at angular frequency w."""
     if omega <= 0:
         raise ValueError("frequency must be positive")
-    num = element.strength * omega ** 2
-    den = element.resonance ** 2 - omega ** 2 - 1j * omega * element.damping
-    return num / den
+    return _lorentzian(element.strength, element.damping, element.resonance, omega)
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,15 @@ class PropagationModel:
         return np.exp(-position * (self.attenuation + 1j * omega * self.delay))
 
 
+def _strip_walk(strip_sizes):
+    """(row, column, position from the port) of each on-strip entry, strip by strip."""
+    col = 0
+    for row, size in enumerate(strip_sizes):
+        for pos in range(size):
+            yield row, col, pos
+            col += 1
+
+
 def dma_combiner(microstrips, omega: float,
                  propagation: PropagationModel | None = None) -> np.ndarray:
     """Combining matrix of a metasurface antenna at a single frequency.
@@ -86,15 +98,11 @@ def dma_combiner(microstrips, omega: float,
     """
     if propagation is None:
         propagation = PropagationModel()
-    rows = len(microstrips)
-    cols = sum(len(strip) for strip in microstrips)
-    out = np.zeros((rows, cols), dtype=complex)
-    col = 0
-    for i, strip in enumerate(microstrips):
-        for pos, element in enumerate(strip):
-            out[i, col] = (lorentzian_response(element, omega)
-                           * propagation.response(pos, omega))
-            col += 1
+    sizes = [len(strip) for strip in microstrips]
+    out = np.zeros((len(sizes), sum(sizes)), dtype=complex)
+    for i, col, pos in _strip_walk(sizes):
+        out[i, col] = (lorentzian_response(microstrips[i][pos], omega)
+                       * propagation.response(pos, omega))
     return out
 
 
@@ -164,12 +172,9 @@ class ParameterGrid:
 
     def responses(self, omega: float) -> np.ndarray:
         """Achievable element responses at omega over the whole grid, flattened."""
-        f = self.strengths[:, None, None]
-        chi = self.dampings[None, :, None]
-        res = self.resonances[None, None, :]
-        num = f * omega ** 2
-        den = res ** 2 - omega ** 2 - 1j * omega * chi
-        return (num / den).ravel()
+        return _lorentzian(self.strengths[:, None, None],
+                           self.dampings[None, :, None],
+                           self.resonances[None, None, :], omega).ravel()
 
 
 def project_lorentzian(desired, strip_sizes, omega: float, grid: ParameterGrid,
@@ -191,33 +196,19 @@ def project_lorentzian(desired, strip_sizes, omega: float, grid: ParameterGrid,
     if desired.shape != (rows, cols):
         raise ValueError(f"desired matrix shape {desired.shape} does not match "
                          f"{rows} strips with {cols} elements")
+    axes = (grid.strengths, grid.dampings, grid.resonances)
+    shape = tuple(values.size for values in axes)
     candid = grid.responses(omega)
-    f_grid = np.repeat(grid.strengths, grid.dampings.size * grid.resonances.size)
-    chi_grid = np.tile(np.repeat(grid.dampings, grid.resonances.size),
-                       grid.strengths.size)
-    res_grid = np.tile(grid.resonances, grid.strengths.size * grid.dampings.size)
-
     feasible = np.zeros_like(desired)
     params = {}
-    residual = 0.0
-    col = 0
-    for i, size in enumerate(strip_sizes):
-        for pos in range(size):
-            h = propagation.response(pos, omega)
-            target = desired[i, col] / h
-            best = int(np.argmin(np.abs(candid - target)))
-            feasible[i, col] = candid[best] * h
-            params[(i, col)] = (float(f_grid[best]), float(chi_grid[best]),
-                                float(res_grid[best]))
-            residual += abs(desired[i, col] - feasible[i, col]) ** 2
-            col += 1
-    off_strip = desired.copy()
-    col = 0
-    for i, size in enumerate(strip_sizes):
-        off_strip[i, col:col + size] = 0
-        col += size
-    residual += float(np.sum(np.abs(off_strip) ** 2))
-    return feasible, params, float(residual)
+    for i, col, pos in _strip_walk(strip_sizes):
+        h = propagation.response(pos, omega)
+        best = int(np.argmin(np.abs(candid - desired[i, col] / h)))
+        feasible[i, col] = candid[best] * h
+        params[(i, col)] = tuple(float(values[j]) for values, j
+                                 in zip(axes, np.unravel_index(best, shape)))
+    residual = float(np.sum(np.abs(desired - feasible) ** 2))
+    return feasible, params, residual
 
 
 def real_composite(matrix) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .quant import (UniformQuantizerSpec, dithered_quantize,
+from .quant import (UniformQuantizerSpec, dithered_quantize, noise_variance,
                     overload_safe_support, uniform_quantize)
 
 __all__ = [
@@ -125,25 +125,28 @@ class QuantizerDesign:
         return self.analog.shape[0]
 
 
-def _quantization_noise(support: float, levels: int) -> float:
-    return 2.0 * support ** 2 / (3.0 * levels ** 2)
+def _combined_moments(analog, model: LinearTaskModel, support: float,
+                      levels: int):
+    """Gram matrix G and task cross-covariance C = A Sx Gamma^T (p x k) of the
+    combined observation plus white quantization noise of the ADC's variance."""
+    a = np.atleast_2d(np.asarray(analog, dtype=float))
+    sigma2 = noise_variance(UniformQuantizerSpec(levels, support))
+    a_cov = a @ model.obs_cov
+    gram = a_cov @ a.T + sigma2 * np.eye(a.shape[0])
+    return gram, a_cov @ model.task_matrix.T
 
 
 def _wiener_solve(analog, model: LinearTaskModel, support: float, levels: int):
-    """Cross-covariance C = A Sx Gamma^T (p x k) and the Wiener solve G^-1 C.
+    """Cross-covariance C and the Wiener solve G^-1 C.
 
-    G is the Gram matrix of the combined observation plus white quantization
-    noise; the digital matrix is (G^-1 C)^T and the excess MSE is
+    The digital matrix is (G^-1 C)^T and the excess MSE is
     trace(Gamma Sx Gamma^T) - <C, G^-1 C>, so one solve serves both.
     """
-    a = np.atleast_2d(np.asarray(analog, dtype=float))
-    sigma2 = _quantization_noise(support, levels)
-    gram = a @ model.obs_cov @ a.T + sigma2 * np.eye(a.shape[0])
+    gram, cross = _combined_moments(analog, model, support, levels)
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise NumericalError("regularized Gram matrix is ill-conditioned",
                              condition_number=cond)
-    cross = a @ model.obs_cov @ model.task_matrix.T  # p x k
     try:
         return cross, np.linalg.solve(gram, cross)
     except np.linalg.LinAlgError as exc:
@@ -162,7 +165,7 @@ def optimal_digital(analog, model: LinearTaskModel, support: float,
 
     This is the Wiener gain for estimating the task from the combined
     observation plus white quantization noise of variance
-    2 support^2 / (3 levels^2) per channel.
+    `quant.noise_variance` per channel.
     """
     return _wiener_solve(analog, model, support, levels)[1].T
 
@@ -200,13 +203,10 @@ def fixed_combiner_design(analog, model: LinearTaskModel, levels: int,
 def mse_with_digital(analog, digital, model: LinearTaskModel, support: float,
                      levels: int) -> float:
     """Excess MSE of the pipeline with an arbitrary (not re-optimized) digital matrix."""
-    a = np.atleast_2d(np.asarray(analog, dtype=float))
     b = np.atleast_2d(np.asarray(digital, dtype=float))
-    sigma2 = _quantization_noise(support, levels)
-    gram = a @ model.obs_cov @ a.T + sigma2 * np.eye(a.shape[0])
-    cross = model.task_matrix @ model.obs_cov @ a.T  # k x p
+    gram, cross = _combined_moments(analog, model, support, levels)
     total = np.trace(model.estimate_covariance())
-    return float(total - 2.0 * np.einsum("ij,ij->", b, cross)
+    return float(total - 2.0 * np.einsum("ij,ji->", b, cross)
                  + np.einsum("ij,jk,ik->", b, gram, b))
 
 
@@ -334,7 +334,8 @@ def design(model: LinearTaskModel, channels: int, levels: int,
     rotation = equalizing_rotation(gains ** 2)
     analog = rotation @ core @ inv_root
 
-    sigma2 = _quantization_noise(support, levels)
+    spec = UniformQuantizerSpec(levels=levels, support=support, dithered=True)
+    sigma2 = noise_variance(spec)
     # Wiener gain in the rotated water-filled coordinates: diagonal, cheap
     wiener = np.zeros(channels)
     wiener[:m] = gains[:m] / (gains[:m] ** 2 + sigma2)
@@ -356,7 +357,6 @@ def design(model: LinearTaskModel, channels: int, levels: int,
         raise NumericalError(
             f"combiner channels are not equalized (relative spread {spread:.2e})")
 
-    spec = UniformQuantizerSpec(levels=levels, support=support, dithered=True)
     return QuantizerDesign(analog=analog, quantizer=spec, digital=digital,
                            predicted_excess_mse=predicted,
                            singular_values=sing, waterline=waterline)

@@ -113,9 +113,9 @@ def uniform_quantize(z, spec: UniformQuantizerSpec):
 def dithered_quantize(z, spec: UniformQuantizerSpec, rng: np.random.Generator):
     """Quantize z + u with u drawn i.i.d. uniform on [-spacing/2, spacing/2].
 
-    The dither is not subtracted after quantization; on in-support input the
-    resulting error has zero mean, variance spacing^2 / 6, and is
-    uncorrelated with the input.
+    The dither is not subtracted after quantization. On in-support input the
+    error has zero mean, but its variance depends on the input (see
+    `noise_variance` for when it is spacing^2 / 6).
     """
     if not spec.dithered:
         raise ValueError("spec is not dithered; use uniform_quantize")
@@ -125,8 +125,14 @@ def dithered_quantize(z, spec: UniformQuantizerSpec, rng: np.random.Generator):
 
 
 def noise_variance(spec: UniformQuantizerSpec) -> float:
-    """Error variance of a dithered quantizer on in-support input: spacing^2 / 6."""
-    return spec.spacing ** 2 / 6.0
+    """Error variance spacing^2 / 6 = 2 S^2 / (3 L^2) of a dithered quantizer.
+
+    Dither makes the error's mean independent of the input, not its variance:
+    given input z the variance is periodic in z, 0 at cell midpoints and
+    spacing^2 / 4 at thresholds, so the law holds only on input spread over
+    many cells. At 2 levels E[e^2] = S^2 / 4 - E[z^2] (ROADMAP.md item 1).
+    """
+    return 2.0 * spec.support ** 2 / (3.0 * spec.levels ** 2)
 
 
 def overload_safe_support(std_multiple: float, levels: int, channels: int):

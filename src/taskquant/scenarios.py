@@ -19,6 +19,7 @@ from scipy.special import ndtr
 from .bounds import gaussian_mmse
 from .linear_task import LinearTaskModel
 from .quadratic_task import LiftedTaskModel, QuadraticTask, to_linear_model
+from .quant import UniformQuantizerSpec
 
 __all__ = [
     "ScenarioSpec",
@@ -273,7 +274,7 @@ def quantized_map_detect(observations, scenario: ScenarioSpec, levels: int,
     """
     x = np.atleast_2d(np.asarray(observations, dtype=float))
     sigma = np.sqrt(scenario.noise_var)
-    spacing = 2.0 * support / levels
+    spacing = UniformQuantizerSpec(levels, support).spacing
     edges = -support + spacing * np.arange(1, levels)      # interior edges
     cells = np.searchsorted(edges, x, side="right")
     means = scenario.symbols @ scenario.mixing.T           # classes x n

@@ -34,9 +34,9 @@ def test_gaussian_mmse_matches_conditional_mean_oracle():
 
 def test_drf_scalar():
     assert indirect_drf(SpectrumBound(np.array([1.0]), 0.0, 1.0)) == pytest.approx(
-        0.25, abs=1e-9)
+        0.25, rel=1e-12)
     assert indirect_drf(SpectrumBound(np.array([1.0]), 0.3, 2.0)) == pytest.approx(
-        0.3 + 2.0 ** -4, abs=1e-9)
+        0.3 + 2.0 ** -4, rel=1e-12)
 
 
 def test_drf_zero_rate():
@@ -48,12 +48,27 @@ def test_drf_equal_eigenvalues():
     k, c, rate = 4, 2.0, 4.0
     bound = SpectrumBound(np.full(k, c), 0.0, rate)
     assert indirect_drf(bound) == pytest.approx(k * c * 2 ** (-2 * rate / k),
-                                                abs=1e-9)
+                                                rel=1e-12)
 
 
 def test_drf_handles_zero_modes():
     bound = SpectrumBound(np.array([1.0, 0.0, 0.0]), 0.0, 1.0)
-    assert indirect_drf(bound) == pytest.approx(0.25, abs=1e-9)
+    assert indirect_drf(bound) == pytest.approx(0.25, rel=1e-12)
+
+
+@pytest.mark.parametrize("eig, rate, expected", [
+    # level 2 leaves the second mode dry: D = 2 + 1
+    ([4.0, 1.0], 0.5, 3.0),
+    # both modes wet at level 1/2: D = 2 * 1/2
+    ([4.0, 1.0], 2.0, 1.0),
+    # level 1 wets the top two modes and leaves the rest dry
+    ([8.0, 2.0, 0.25, 0.125], 2.0, 1.0 + 1.0 + 0.25 + 0.125),
+    # 240 bits wet every mode: D = 3 * 2^((3 + 1 - 1 - 480) / 3)
+    ([8.0, 2.0, 0.5], 240.0, 3.0 * 2.0 ** -159),
+])
+def test_drf_closed_form(eig, rate, expected):
+    bound = SpectrumBound(np.array(eig), 0.0, rate)
+    assert indirect_drf(bound) == pytest.approx(expected, rel=1e-12)
 
 
 def test_drf_monotone_and_convex_in_rate():
@@ -75,3 +90,10 @@ def test_spectrum_bound_validation():
         SpectrumBound(np.array([1.0]), -0.1, 1.0)
     with pytest.raises(ValueError):
         SpectrumBound(np.array([1.0]), 0.0, -1.0)
+    for eig in ([np.nan, 1.0], [np.inf, 1.0], [1.0, np.nan]):
+        with pytest.raises(ValueError):
+            SpectrumBound(np.array(eig), 0.0, 4.0)
+    for floor, rate in ((np.nan, 1.0), (np.inf, 1.0), (0.0, np.nan),
+                        (0.0, np.inf)):
+        with pytest.raises(ValueError):
+            SpectrumBound(np.array([1.0]), floor, rate)

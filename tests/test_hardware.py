@@ -136,6 +136,28 @@ def test_project_lorentzian_off_strip_zero_is_free():
     _, _, residual = project_lorentzian(desired, [1, 1], 4.0, grid)
     assert residual == pytest.approx(base + 0.25)
 
+    rng = np.random.default_rng(5)
+    desired = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
+    omega, prop = 4.0, PropagationModel(attenuation=0.1, delay=0.2)
+    feasible, params, residual = project_lorentzian(desired, [2, 3, 2], omega,
+                                                    grid, prop)
+    assert residual == pytest.approx(
+        np.linalg.norm(desired - feasible, "fro") ** 2, rel=1e-12)
+    on_strip = {(0, 0): 0, (0, 1): 1, (1, 2): 0, (1, 3): 1, (1, 4): 2,
+                (2, 5): 0, (2, 6): 1}
+    assert set(params) == set(on_strip)
+    mask = np.zeros(desired.shape, dtype=bool)
+    for (i, col), pos in on_strip.items():
+        mask[i, col] = True
+        strength, damping, resonance = params[(i, col)]
+        assert strength in grid.strengths
+        assert damping in grid.dampings
+        assert resonance in grid.resonances
+        elem = LorentzianElement(strength, damping, resonance)
+        assert (lorentzian_response(elem, omega) * prop.response(pos, omega)
+                == pytest.approx(feasible[i, col], rel=1e-12))
+    assert np.all(feasible[~mask] == 0)
+
 
 def test_project_lorentzian_grid_refinement_monotone():
     rng = np.random.default_rng(3)
