@@ -91,6 +91,12 @@ def _total_bits(cfg: harness.ExperimentConfig, scenario) -> float:
     return channels * float(np.log2(cfg.levels))
 
 
+def _print_csv(rows):
+    print(harness.CSV_HEADER)
+    for row in rows:
+        print(row.csv_line())
+
+
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
     scenario = harness.build_scenario(cfg)
@@ -104,9 +110,7 @@ def _cmd_simulate(args) -> int:
     output, cfg.output = cfg.output, None
     cfg.include_bound = False
     rows = harness.sweep(cfg)
-    print(harness.CSV_HEADER)
-    for row in rows:
-        print(row.csv_line())
+    _print_csv(rows)
     print(f"# wall_time_ms={rows[0].wall_time_ms:.1f}", file=sys.stderr)
     if output:
         harness.write_csv(rows, output)
@@ -117,9 +121,7 @@ def _cmd_sweep(args) -> int:
     cfg = _load(args)
     rows = harness.sweep(cfg, verbose=True)
     if not cfg.output:
-        print(harness.CSV_HEADER)
-        for row in rows:
-            print(row.csv_line())
+        _print_csv(rows)
     else:
         print(f"{len(rows)} rows written to {cfg.output}")
     return 0
@@ -138,9 +140,7 @@ def _cmd_bound(args) -> int:
         harness.write_csv(rows, cfg.output)
         print(f"{len(rows)} rows written to {cfg.output}")
     else:
-        print(harness.CSV_HEADER)
-        for row in rows:
-            print(row.csv_line())
+        _print_csv(rows)
     return 0
 
 

@@ -101,6 +101,20 @@ class TrainSettings:
     support_scale: float = 4.0
     steepness: float = 50.0
 
+    def __post_init__(self):
+        for key in ("learning_rate", "support_scale", "steepness"):
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"[train] {key}: must be finite and positive")
+        for key in ("epochs", "batch_size", "train_size", "test_size"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"[train] {key}: must be >= 1")
+        for key in ("hidden_analog", "hidden_digital"):
+            widths = getattr(self, key)
+            if not all(float(w).is_integer() and w >= 1 for w in widths):
+                raise ConfigError(f"[train] {key}: widths must be whole "
+                                  f"numbers >= 1")
+            setattr(self, key, tuple(int(w) for w in widths))
+
 
 @dataclass
 class ExperimentConfig:
@@ -155,7 +169,7 @@ class ExperimentConfig:
 
 
 _METHODS = ("task_based", "mmse_then_quantize", "digital_only", "deep",
-            "quadratic", "constrained", "map", "quantized_map")
+            "constrained", "map", "quantized_map")
 
 
 def build_scenario(config: ExperimentConfig) -> scenarios.ScenarioSpec:
@@ -271,8 +285,8 @@ def quantizer_count(method: str, scenario, channels: Optional[int]) -> int:
     return channels or recommend_quantizers(scenario.model)
 
 
-_MSE_METHODS = ("task_based", "quadratic", "constrained",
-                "mmse_then_quantize", "digital_only")
+_MSE_METHODS = ("task_based", "constrained", "mmse_then_quantize",
+                "digital_only")
 
 
 def _rate_levels(config: ExperimentConfig, scenario, bits: float):
@@ -306,7 +320,7 @@ def _mse_predictor(config: ExperimentConfig, scenario, bits: float):
     scale = feasible_support_scale(_support_scale_at(config, bits), levels)
     realized = channels * math.log2(levels)
 
-    if method in ("task_based", "quadratic"):
+    if method == "task_based":
         des = design(model, channels, levels, scale)
         return _design_errors(scenario, des, config.dither), des, realized
 
@@ -602,10 +616,8 @@ def load_config(path) -> ExperimentConfig:
             batch_size=_get(parser, "train", "batch_size", int, train.batch_size),
             train_size=_get(parser, "train", "train_size", int, train.train_size),
             test_size=_get(parser, "train", "test_size", int, train.test_size),
-            hidden_analog=tuple(int(v) for v in _get(
-                parser, "train", "hidden_analog", tuple, ())),
-            hidden_digital=tuple(int(v) for v in _get(
-                parser, "train", "hidden_digital", tuple, ())),
+            hidden_analog=_get(parser, "train", "hidden_analog", tuple, ()),
+            hidden_digital=_get(parser, "train", "hidden_digital", tuple, ()),
             support_scale=_get(parser, "train", "support_scale", float,
                                train.support_scale),
             steepness=_get(parser, "train", "steepness", float, train.steepness),

@@ -270,13 +270,14 @@ def equalizing_rotation(diag_values) -> np.ndarray:
     s = np.diag(np.clip(d, 0.0, None)).astype(float)
     t = np.trace(s) / p
     scale = max(abs(t), np.abs(d).max(), 1.0)
-    active = list(range(p))
+    active = np.ones(p, dtype=bool)
     for _ in range(p - 1):
-        vals = np.array([s[i, i] for i in active])
+        idx = np.flatnonzero(active)
+        vals = s.diagonal()[idx]
         if vals.max() - vals.min() < 1e-9 * scale:
             break
-        i = active[int(np.argmax(vals))]
-        j = active[int(np.argmin(vals))]
+        i = idx[np.argmax(vals)]
+        j = idx[np.argmin(vals)]
         # pick tan(theta) so that entry i lands exactly on the mean
         qa, qb, qc = s[j, j] - t, 2.0 * s[i, j], s[i, i] - t
         if abs(qa) < 1e-300:
@@ -289,12 +290,11 @@ def equalizing_rotation(diag_values) -> np.ndarray:
         c = 1.0 / np.sqrt(1.0 + tan * tan)
         w = tan * c
         gi = np.array([[c, w], [-w, c]])
-        rows = np.vstack([s[i, :], s[j, :]])
-        s[[i, j], :] = gi @ rows
-        cols = np.hstack([s[:, [i]], s[:, [j]]])
-        s[:, [i, j]] = cols @ gi.T
-        u[[i, j], :] = gi @ np.vstack([u[i, :], u[j, :]])
-        active.remove(i)
+        pair = [i, j]
+        s[pair, :] = gi @ s[pair, :]
+        s[:, pair] = s[:, pair] @ gi.T
+        u[pair, :] = gi @ u[pair, :]
+        active[i] = False
     return u
 
 

@@ -1,12 +1,11 @@
 """Quadratic estimation tasks reduced to the linear framework.
 
 A quadratic task on a zero-mean Gaussian input becomes linear after lifting
-the observation to the centered outer-product vector: the conditional mean of
-each quadratic form given any linear function of the lifted vector is itself
-linear. The lifted covariance follows from the Gaussian fourth-moment
-identity. The full lift carries duplicate off-diagonal coordinates and is
-rank-deficient; the half-vectorized lift keeps one copy of each distinct
-coordinate and is the numerically preferred path.
+the observation to its centered products: the conditional mean of each
+quadratic form given any linear function of the lifted vector is itself
+linear. The lift keeps the n(n+1)/2 distinct products x_i x_j (i <= j), so
+its covariance, which follows from the Gaussian fourth-moment identity, is
+positive definite for a positive definite input covariance.
 """
 
 from __future__ import annotations
@@ -21,9 +20,7 @@ __all__ = [
     "QuadraticTask",
     "LiftedTaskModel",
     "lift",
-    "lift_half",
     "lifted_covariance",
-    "lifted_covariance_half",
     "to_linear_model",
 ]
 
@@ -75,18 +72,7 @@ class QuadraticTask:
 
 
 def lift(x, input_cov) -> np.ndarray:
-    """Centered outer-product lift: vec(x x^T) - vec(cov), row-major."""
-    x = np.asarray(x, dtype=float)
-    cov = np.asarray(input_cov, dtype=float)
-    n = cov.shape[0]
-    if x.shape[-1] != n:
-        raise ValueError(f"x has dimension {x.shape[-1]}, expected {n}")
-    outer = np.einsum("...i,...j->...ij", x, x)
-    return outer.reshape(*x.shape[:-1], n * n) - cov.reshape(n * n)
-
-
-def lift_half(x, input_cov) -> np.ndarray:
-    """Centered lift restricted to the n(n+1)/2 distinct product coordinates."""
+    """Centered lift: x_i x_j - cov_ij for i <= j, in triu_indices order."""
     x = np.asarray(x, dtype=float)
     cov = np.asarray(input_cov, dtype=float)
     n = cov.shape[0]
@@ -97,28 +83,15 @@ def lift_half(x, input_cov) -> np.ndarray:
 
 
 def lifted_covariance(input_cov) -> np.ndarray:
-    """Covariance of the full lift: (I + K) (cov x cov), K the swap permutation."""
-    cov = np.asarray(input_cov, dtype=float)
-    n = cov.shape[0]
-    kron = np.kron(cov, cov)
-    idx = np.arange(n * n)
-    swap = (idx % n) * n + idx // n
-    return kron + kron[swap, :]
-
-
-def lifted_covariance_half(input_cov) -> np.ndarray:
-    """Covariance of the half lift; positive definite for positive definite input."""
+    """Covariance of the lift; positive definite for positive definite input."""
     cov = np.asarray(input_cov, dtype=float)
     iu, ju = np.triu_indices(cov.shape[0])
     return (cov[np.ix_(iu, iu)] * cov[np.ix_(ju, ju)]
             + cov[np.ix_(iu, ju)] * cov[np.ix_(ju, iu)])
 
 
-def _task_rows(task: QuadraticTask, mode: str) -> np.ndarray:
-    n = task.n
-    if mode == "full":
-        return np.stack([c.reshape(n * n) for c in task.forms])
-    iu, ju = np.triu_indices(n)
+def _task_rows(task: QuadraticTask) -> np.ndarray:
+    iu, ju = np.triu_indices(task.n)
     weight = np.where(iu == ju, 1.0, 2.0)
     return np.stack([c[iu, ju] * weight for c in task.forms])
 
@@ -135,12 +108,9 @@ class LiftedTaskModel:
     model: LinearTaskModel
     offsets: np.ndarray
     input_cov: np.ndarray
-    mode: str
 
     def lift(self, x) -> np.ndarray:
-        if self.mode == "full":
-            return lift(x, self.input_cov)
-        return lift_half(x, self.input_cov)
+        return lift(x, self.input_cov)
 
     def estimate(self, design_: QuantizerDesign, x,
                  rng: np.random.Generator | None = None,
@@ -148,28 +118,17 @@ class LiftedTaskModel:
         return estimate(design_, self.lift(x), rng=rng, dither=dither) + self.offsets
 
 
-def to_linear_model(task: QuadraticTask, mode: str = "full",
-                    floor_ratio: float = 1e-10) -> LiftedTaskModel:
+def to_linear_model(task: QuadraticTask) -> LiftedTaskModel:
     """Reduce a quadratic task to a linear one on the lifted observation.
 
-    mode "full" uses all n^2 lift coordinates; the duplicate off-diagonal
-    coordinates make the lifted covariance rank-deficient, so its eigenvalues
-    are floored at floor_ratio times the largest before use. mode "half"
-    keeps the n(n+1)/2 distinct coordinates and needs no regularization.
+    Form C maps to the lift row C_ii on the diagonal coordinates and 2 C_ij
+    on the off-diagonal ones, so x^T C x = row . lift(x) + trace(C cov).
     """
-    if mode not in ("full", "half"):
-        raise ValueError(f"mode must be 'full' or 'half', got {mode!r}")
-    if mode == "full":
-        cov = lifted_covariance(task.input_cov)
-        w, q = np.linalg.eigh(cov)
-        w = np.maximum(w, floor_ratio * w.max())
-        cov = (q * w) @ q.T
-    else:
-        cov = lifted_covariance_half(task.input_cov)
-    rows = _task_rows(task, mode)
+    cov = lifted_covariance(task.input_cov)
+    rows = _task_rows(task)
     offsets = np.array([np.trace(c @ task.input_cov) for c in task.forms])
     model = LinearTaskModel(obs_cov=0.5 * (cov + cov.T), task_matrix=rows,
                             mmse_floor=0.0)
     offsets.flags.writeable = False
     return LiftedTaskModel(model=model, offsets=offsets,
-                           input_cov=task.input_cov, mode=mode)
+                           input_cov=task.input_cov)

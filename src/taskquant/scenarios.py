@@ -175,7 +175,7 @@ def covariance_scenario() -> ScenarioSpec:
             c[m * nb + b, m * nb + a] += 1.0 / 8.0
         forms.append(c)
     task = QuadraticTask(tuple(forms), cov_x)
-    lifted = to_linear_model(task, mode="half")
+    lifted = to_linear_model(task)
     chol = np.linalg.cholesky(cov_x)
 
     def sample(rng: np.random.Generator, count: int):

@@ -182,10 +182,29 @@ def test_bound_rows_match_sweep_bound_rows(isi_config, tmp_path):
     ("sweep --trials 0", {}, "trials"),
     ("sweep", {"name = isi": "name = isi\ncsi_fraction = -0.5"}, "csi_fraction"),
     ("sweep", {"name = isi": "name = isi\ncsi_fraction = nan"}, "csi_fraction"),
+    ("sweep", {"method = task_based": "method = quadratic"}, "method"),
+    ("sweep", {"dither = true": "[train]\ntest_size = 0"}, "test_size"),
+    ("sweep", {"dither = true": "[train]\ntrain_size = 0"}, "train_size"),
+    ("sweep", {"dither = true": "[train]\nepochs = 0"}, "epochs"),
+    ("sweep", {"dither = true": "[train]\nbatch_size = -1"}, "batch_size"),
+    ("sweep", {"dither = true": "[train]\nlearning_rate = nan"},
+     "learning_rate"),
+    ("sweep", {"dither = true": "[train]\nlearning_rate = 0"},
+     "learning_rate"),
+    ("sweep", {"dither = true": "[train]\nhidden_digital = 8 0"},
+     "hidden_digital"),
+    ("sweep", {"dither = true": "[train]\nhidden_analog = 2.7"},
+     "hidden_analog"),
+    ("sweep", {"dither = true": "[train]\nsupport_scale = inf"},
+     "[train] support_scale"),
+    ("sweep", {"dither = true": "[train]\nsteepness = -50"}, "steepness"),
 ], ids=["grid-inf", "grid-overflow", "grid-nan", "channels-zero",
         "support-scale-negative", "support-scale-range-inf",
         "simulate-levels-zero", "trials-flag-zero", "csi-fraction-negative",
-        "csi-fraction-nan"])
+        "csi-fraction-nan", "method-quadratic", "test-size-zero",
+        "train-size-zero", "epochs-zero", "batch-size-negative",
+        "learning-rate-nan", "learning-rate-zero", "hidden-width-zero",
+        "hidden-width-fraction", "train-support-scale-inf", "steepness-negative"])
 def test_malformed_config_exits_one_with_one_line(tmp_path, capsys, command,
                                                   edits, named):
     text = ISI_CFG

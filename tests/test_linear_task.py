@@ -138,6 +138,55 @@ def test_rotation_property_random_draws():
         assert rotated.max() - rotated.min() <= 1e-9 * max(d.sum(), 1e-12)
 
 
+def reference_rotation(d):
+    # the loop equalizing_rotation ran before it kept its active set as a
+    # mask: a Python list of active indices and vstack/hstack row copies
+    p = d.size
+    u = np.eye(p)
+    if p == 1:
+        return u
+    s = np.diag(np.clip(d, 0.0, None)).astype(float)
+    t = np.trace(s) / p
+    scale = max(abs(t), np.abs(d).max(), 1.0)
+    active = list(range(p))
+    for _ in range(p - 1):
+        vals = np.array([s[i, i] for i in active])
+        if vals.max() - vals.min() < 1e-9 * scale:
+            break
+        i = active[int(np.argmax(vals))]
+        j = active[int(np.argmin(vals))]
+        qa, qb, qc = s[j, j] - t, 2.0 * s[i, j], s[i, i] - t
+        if abs(qa) < 1e-300:
+            tan = -qc / qb
+        else:
+            disc = np.sqrt(max(qb * qb - 4.0 * qa * qc, 0.0))
+            r1 = (-qb + disc) / (2.0 * qa)
+            r2 = (-qb - disc) / (2.0 * qa)
+            tan = r1 if abs(r1) <= abs(r2) else r2
+        c = 1.0 / np.sqrt(1.0 + tan * tan)
+        w = tan * c
+        gi = np.array([[c, w], [-w, c]])
+        rows = np.vstack([s[i, :], s[j, :]])
+        s[[i, j], :] = gi @ rows
+        cols = np.hstack([s[:, [i]], s[:, [j]]])
+        s[:, [i, j]] = cols @ gi.T
+        u[[i, j], :] = gi @ np.vstack([u[i, :], u[j, :]])
+        active.remove(i)
+    return u
+
+
+def test_rotation_matches_reference_bytes():
+    rng = np.random.default_rng(16)
+    for trial in range(400):
+        p = int(rng.integers(1, 60))
+        d = rng.uniform(0, 5, p)
+        if trial % 3 == 1:      # zeros
+            d[rng.random(p) < 0.3] = 0.0
+        if trial % 3 == 2:      # repeated entries
+            d = rng.choice(d[: max(p // 3, 1)], p)
+        assert equalizing_rotation(d).tobytes() == reference_rotation(d).tobytes()
+
+
 def test_rotation_rejects_off_diagonal():
     with pytest.raises(ValueError):
         equalizing_rotation(np.array([[1.0, 0.5], [0.5, 2.0]]))

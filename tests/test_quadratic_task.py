@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from taskquant.linear_task import design
-from taskquant.quadratic_task import (QuadraticTask, lift, lift_half,
-                                      lifted_covariance, lifted_covariance_half,
+from taskquant.quadratic_task import (QuadraticTask, lift, lifted_covariance,
                                       to_linear_model)
 
 
@@ -13,9 +12,10 @@ def exp_cov(n):
 
 
 def test_lift_examples():
-    np.testing.assert_allclose(lift(np.zeros(2), np.eye(2)), [-1, 0, 0, -1])
+    # coordinates x0 x0, x0 x1, x1 x1
+    np.testing.assert_allclose(lift(np.zeros(2), np.eye(2)), [-1, 0, -1])
     np.testing.assert_allclose(lift(np.array([1.0, 0.0]), np.eye(2)),
-                               [0, 0, 0, -1])
+                               [0, 0, -1])
 
 
 def test_lift_dimension_mismatch():
@@ -38,7 +38,7 @@ def test_lifted_covariance_scalar():
 
 def test_lifted_covariance_identity_diag():
     mat = lifted_covariance(np.eye(2))
-    np.testing.assert_allclose(np.diag(mat), [2, 1, 1, 2])
+    np.testing.assert_allclose(np.diag(mat), [2, 1, 2])
     np.testing.assert_allclose(mat, mat.T)
 
 
@@ -58,36 +58,34 @@ def test_lifted_covariance_matches_monte_carlo():
 
 def test_lifted_covariance_rank():
     n = 4
-    eig = np.linalg.eigvalsh(lifted_covariance(exp_cov(n)))
-    rank = np.count_nonzero(eig > 1e-10 * eig.max())
-    assert rank == n * (n + 1) // 2
-    # the half-vectorized covariance is full rank
-    eig_half = np.linalg.eigvalsh(lifted_covariance_half(exp_cov(n)))
-    assert eig_half.min() > 0
+    mat = lifted_covariance(exp_cov(n))
+    assert mat.shape == (n * (n + 1) // 2,) * 2
+    # one coordinate per distinct product: full rank
+    assert np.linalg.eigvalsh(mat).min() > 0
 
 
 def test_half_lift_consistent_with_full():
     rng = np.random.default_rng(2)
     cov = exp_cov(3)
     x = rng.standard_normal((100, 3)) @ np.linalg.cholesky(cov).T
-    full = lift(x, cov).reshape(-1, 3, 3)
     iu, ju = np.triu_indices(3)
-    np.testing.assert_allclose(lift_half(x, cov), full[:, iu, ju])
+    full = np.einsum("bi,bj->bij", x, x)[:, iu, ju] - cov[iu, ju]
+    np.testing.assert_allclose(lift(x, cov), full)
 
 
 def test_to_linear_model_identity_form():
     task = QuadraticTask((np.eye(2),), np.eye(2))
-    lifted = to_linear_model(task, mode="full")
+    lifted = to_linear_model(task)
     np.testing.assert_allclose(lifted.offsets, [2.0])
-    np.testing.assert_allclose(lifted.model.task_matrix, [[1, 0, 0, 1]])
+    np.testing.assert_allclose(lifted.model.task_matrix, [[1, 0, 1]])
 
 
 def test_to_linear_model_coordinate_selector():
     c = np.zeros((2, 2))
     c[0, 0] = 1.0
     task = QuadraticTask((c,), np.eye(2))
-    lifted = to_linear_model(task, mode="full")
-    np.testing.assert_allclose(lifted.model.task_matrix, [[1, 0, 0, 0]])
+    lifted = to_linear_model(task)
+    np.testing.assert_allclose(lifted.model.task_matrix, [[1, 0, 0]])
     rng = np.random.default_rng(3)
     x = rng.standard_normal((500, 2))
     np.testing.assert_allclose(
@@ -102,12 +100,11 @@ def test_task_values_match_lifted_rows():
     forms = tuple(0.5 * (m + m.T)
                   for m in rng.standard_normal((3, 4, 4)))
     task = QuadraticTask(forms, cov)
-    for mode in ("full", "half"):
-        lifted = to_linear_model(task, mode=mode)
-        x = rng.standard_normal((200, 4)) @ np.linalg.cholesky(cov).T
-        direct = task.values(x)
-        via_lift = lifted.lift(x) @ lifted.model.task_matrix.T + lifted.offsets
-        np.testing.assert_allclose(via_lift, direct, atol=1e-10)
+    lifted = to_linear_model(task)
+    x = rng.standard_normal((200, 4)) @ np.linalg.cholesky(cov).T
+    direct = task.values(x)
+    via_lift = lifted.lift(x) @ lifted.model.task_matrix.T + lifted.offsets
+    np.testing.assert_allclose(via_lift, direct, atol=1e-10)
 
 
 def test_regression_recovers_recovery_coefficients():
@@ -117,7 +114,7 @@ def test_regression_recovers_recovery_coefficients():
     cov = exp_cov(3)
     forms = (np.diag([1.0, 0.5, 0.0]), np.full((3, 3), 0.25))
     task = QuadraticTask(forms, cov)
-    lifted = to_linear_model(task, mode="half")
+    lifted = to_linear_model(task)
     a = rng.standard_normal((6, lifted.model.n))
     x = rng.standard_normal((10 ** 5, 3)) @ np.linalg.cholesky(cov).T
     z = lifted.lift(x) @ a.T
@@ -136,7 +133,7 @@ def test_estimate_quadratic_fine_limit_and_offsets():
     cov = exp_cov(3)
     forms = (np.eye(3), np.diag([1.0, -1.0, 0.0]))
     task = QuadraticTask(forms, cov)
-    lifted = to_linear_model(task, mode="half")
+    lifted = to_linear_model(task)
     # lifted coordinates have heavy tails, so leave generous headroom
     des = design(lifted.model, lifted.model.k, 2 ** 12, support_scale=12.0)
     x = rng.standard_normal((256, 3)) @ np.linalg.cholesky(cov).T
@@ -153,5 +150,3 @@ def test_form_validation():
         QuadraticTask((np.array([[0.0, 1.0], [0.0, 0.0]]),), np.eye(2))
     with pytest.raises(ValueError):
         QuadraticTask((np.eye(3),), np.eye(2))
-    with pytest.raises(ValueError):
-        to_linear_model(QuadraticTask((np.eye(2),), np.eye(2)), mode="bogus")
