@@ -59,12 +59,8 @@ def _load(args) -> harness.ExperimentConfig:
 def _design_for_config(cfg: harness.ExperimentConfig):
     scenario = harness.build_scenario(cfg)
     channels = harness.quantizer_count("task_based", scenario, cfg.channels)
-    if cfg.levels is not None:
-        levels = cfg.levels
-    elif cfg.rate_bits is not None:
-        levels = harness.levels_for(cfg.rate_bits, channels)
-    else:
-        raise ConfigError("[design] levels or rate_bits: one is required")
+    levels = harness.levels_for(
+        harness.point_bits(cfg, scenario, "task_based"), channels)
     scale = harness.feasible_support_scale(cfg.support_scale, levels)
     return scenario, design_pipeline(scenario.model, channels, levels, scale)
 
@@ -82,19 +78,9 @@ def _cmd_design(args) -> int:
     return 0
 
 
-def _total_bits(cfg: harness.ExperimentConfig, scenario) -> float:
-    if cfg.rate_bits is not None:
-        return float(cfg.rate_bits)
-    if cfg.levels is None:
-        raise ConfigError("[simulate] rate_bits or [design] levels: one is required")
-    channels = harness.quantizer_count(cfg.method, scenario, cfg.channels)
-    return channels * float(np.log2(cfg.levels))
-
-
-def _print_csv(rows):
-    print(harness.CSV_HEADER)
-    for row in rows:
-        print(row.csv_line())
+def _save_csv(rows, path):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        harness.write_csv(rows, fh)
 
 
 def _cmd_simulate(args) -> int:
@@ -104,16 +90,15 @@ def _cmd_simulate(args) -> int:
         if cfg.snr_db is None:
             raise ConfigError("[scenario] snr_db: required to simulate one "
                               "SNR point")
-        cfg.grid = (float(cfg.snr_db),)
+        point = float(cfg.snr_db)
     else:
-        cfg.grid = (_total_bits(cfg, scenario),)
-    output, cfg.output = cfg.output, None
-    cfg.include_bound = False
-    rows = harness.sweep(cfg)
-    _print_csv(rows)
+        point = harness.point_bits(cfg, scenario, cfg.method)
+    # bound rows follow the grid rows, so the first row is the point's own
+    rows = harness.sweep(dataclasses.replace(cfg, grid=(point,), output=None))[:1]
+    harness.write_csv(rows, sys.stdout)
     print(f"# wall_time_ms={rows[0].wall_time_ms:.1f}", file=sys.stderr)
-    if output:
-        harness.write_csv(rows, output)
+    if cfg.output:
+        _save_csv(rows, cfg.output)
     return 0
 
 
@@ -121,7 +106,7 @@ def _cmd_sweep(args) -> int:
     cfg = _load(args)
     rows = harness.sweep(cfg, verbose=True)
     if not cfg.output:
-        _print_csv(rows)
+        harness.write_csv(rows, sys.stdout)
     else:
         print(f"{len(rows)} rows written to {cfg.output}")
     return 0
@@ -130,17 +115,14 @@ def _cmd_sweep(args) -> int:
 def _cmd_bound(args) -> int:
     cfg = _load(args)
     scenario = harness.build_scenario(cfg)
-    if scenario.kind != "linear" or scenario.model is None:
-        raise ConfigError("[scenario] name: bound curves need a Gaussian "
-                          "linear scenario")
     if not cfg.grid:
         raise ConfigError("[sweep] grid: rate grid required for bound curves")
     rows = [harness.bound_row(scenario, bits) for bits in cfg.grid]
     if cfg.output:
-        harness.write_csv(rows, cfg.output)
+        _save_csv(rows, cfg.output)
         print(f"{len(rows)} rows written to {cfg.output}")
     else:
-        _print_csv(rows)
+        harness.write_csv(rows, sys.stdout)
     return 0
 
 
@@ -204,10 +186,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericalError, np.linalg.LinAlgError) as exc:

@@ -38,6 +38,7 @@ __all__ = [
     "levels_for",
     "feasible_support_scale",
     "quantizer_count",
+    "point_bits",
     "bound_row",
     "simulate_mse",
     "simulate_ber",
@@ -66,11 +67,11 @@ class ResultRow:
                 f"{self.estimate!r},{self.std_error!r},{self.trials}")
 
 
-def write_csv(rows: Sequence[ResultRow], path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row.csv_line() + "\n")
+def write_csv(rows: Sequence[ResultRow], fh):
+    """Write the CSV header and `rows` to the open text stream `fh`."""
+    fh.write(CSV_HEADER + "\n")
+    for row in rows:
+        fh.write(row.csv_line() + "\n")
 
 
 def _key_to_int(key) -> int:
@@ -136,7 +137,6 @@ class ExperimentConfig:
     csi_seed: int = 0
     constraint: Optional[str] = None
     partition: Optional[tuple] = None
-    include_bound: bool = True
     train: TrainSettings = field(default_factory=TrainSettings)
 
     def __post_init__(self):
@@ -166,6 +166,11 @@ class ExperimentConfig:
             raise ConfigError(f"[sweep] axis: unknown axis {self.axis!r}")
         if not 0.0 <= self.csi_fraction < math.inf:
             raise ConfigError("[scenario] csi_fraction: must be finite and >= 0")
+        if self.partition is not None:
+            if not all(float(v).is_integer() and v >= 0 for v in self.partition):
+                raise ConfigError("[design] partition: owners must be whole "
+                                  "numbers >= 0")
+            self.partition = tuple(int(v) for v in self.partition)
 
 
 _METHODS = ("task_based", "mmse_then_quantize", "digital_only", "deep",
@@ -285,6 +290,20 @@ def quantizer_count(method: str, scenario, channels: Optional[int]) -> int:
     return channels or recommend_quantizers(scenario.model)
 
 
+def point_bits(config: ExperimentConfig, scenario, method: str) -> float:
+    """Total bits of a one-point command (`design`, `simulate`) for `method`.
+
+    `rate_bits` when set, otherwise the configured `levels` on each of the
+    method's quantizers; `levels_for` maps that budget back to `levels`.
+    """
+    if config.rate_bits is not None:
+        return float(config.rate_bits)
+    if config.levels is None:
+        raise ConfigError("[design] levels or [sweep] rate_bits: one is required")
+    channels = quantizer_count(method, scenario, config.channels)
+    return channels * float(np.log2(config.levels))
+
+
 _MSE_METHODS = ("task_based", "constrained", "mmse_then_quantize",
                 "digital_only")
 
@@ -363,7 +382,7 @@ def _parse_constraint(config: ExperimentConfig, n: int):
     if kind == "partial":
         if config.partition is None:
             raise ConfigError("[design] partition: required for the partial constraint")
-        owners = [int(v) for v in config.partition]
+        owners = config.partition
         if len(owners) != n:
             raise ConfigError(f"[design] partition: expected {n} entries")
         rows = max(owners) + 1
@@ -428,6 +447,9 @@ def simulate_ber(detector, scenario, trials: int, seed: int) -> ResultRow:
 
 def bound_row(scenario, bits: float) -> ResultRow:
     """Rate-distortion lower bound at `bits` for a Gaussian linear scenario."""
+    if scenario.kind != "linear":
+        raise ConfigError("[scenario] name: bound curves need a Gaussian "
+                          "linear scenario")
     spectrum = scenario.estimate_spectrum()
     bound = SpectrumBound(eigenvalues=spectrum,
                           mmse_floor=scenario.model.mmse_floor,
@@ -437,7 +459,7 @@ def bound_row(scenario, bits: float) -> ResultRow:
 
 
 def sweep(config: ExperimentConfig, verbose: bool = False):
-    """One row per grid point for the configured method, plus bound rows for
+    """One row per grid point for the configured method, then bound rows for
     Gaussian linear scenarios on rate sweeps. Writes CSV when an output path
     is configured."""
     if config.method not in _METHODS:
@@ -473,12 +495,11 @@ def sweep(config: ExperimentConfig, verbose: bool = False):
             print(f"{config.method} @ {value:g}: {row.metric}="
                   f"{row.estimate:.6g} (se {row.std_error:.2g}){budget}",
                   file=sys.stderr)
-    if (config.axis == "rate_bits" and config.include_bound
-            and scenario.kind == "linear" and scenario.model is not None):
-        for value in config.grid:
-            rows.append(bound_row(scenario, value))
+    if config.axis == "rate_bits" and scenario.kind == "linear":
+        rows.extend(bound_row(scenario, value) for value in config.grid)
     if config.output:
-        write_csv(rows, config.output)
+        with open(config.output, "w", encoding="utf-8", newline="\n") as fh:
+            write_csv(rows, fh)
     return rows
 
 
@@ -571,30 +592,43 @@ def train_deep_classifier(scenario, total_bits: float,
                              settings, seed)
 
 
-def _get(parser, section, option, cast, default=None, required=False):
-    if not parser.has_option(section, option):
-        if required:
-            raise ConfigError(f"[{section}] {option}: required option is missing")
-        return default
-    raw = parser.get(section, option)
-    try:
-        if cast is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "on", "1"):
-                return True
-            if lowered in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if cast is tuple:
-            return tuple(float(v) for v in raw.replace(",", " ").split())
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {option}: {exc}") from exc
+# section -> key -> cast; each key names the ExperimentConfig field it sets
+# ([train] keys: TrainSettings fields), except [scenario] name -> scenario
+_KEYS = {
+    "scenario": {"name": str, "snr_db": float, "csi_fraction": float,
+                 "csi_seed": int},
+    "design": {"channels": int, "levels": int, "support_scale": float,
+               "support_scale_range": tuple, "constraint": str,
+               "partition": tuple},
+    "sweep": {"method": str, "axis": str, "grid": tuple, "trials": int,
+              "seed": int, "dither": bool, "rate_bits": float, "output": str},
+    "train": {"epochs": int, "learning_rate": float, "batch_size": int,
+              "train_size": int, "test_size": int, "hidden_analog": tuple,
+              "hidden_digital": tuple, "support_scale": float,
+              "steepness": float},
+}
+
+
+def _cast(raw: str, cast):
+    if cast is bool:
+        lowered = raw.strip().lower()
+        if lowered in ("true", "yes", "on", "1"):
+            return True
+        if lowered in ("false", "no", "off", "0"):
+            return False
+        raise ValueError(f"not a boolean: {raw!r}")
+    if cast is tuple:
+        return tuple(float(v) for v in raw.replace(",", " ").split())
+    return cast(raw)
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse the flat key=value config format with section headers."""
-    parser = configparser.ConfigParser()
+    """Parse the flat key=value config format with section headers.
+
+    Only the keys present are passed on, so each default lives on its field.
+    `[simulate]` takes the keys of `[sweep]`; a config has one of the two.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -603,45 +637,24 @@ def load_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
 
-    if not parser.has_section("scenario"):
-        raise ConfigError("[scenario] section is required")
-    name = _get(parser, "scenario", "name", str, required=True)
-
-    train = TrainSettings()
-    if parser.has_section("train"):
-        train = TrainSettings(
-            epochs=_get(parser, "train", "epochs", int, train.epochs),
-            learning_rate=_get(parser, "train", "learning_rate", float,
-                               train.learning_rate),
-            batch_size=_get(parser, "train", "batch_size", int, train.batch_size),
-            train_size=_get(parser, "train", "train_size", int, train.train_size),
-            test_size=_get(parser, "train", "test_size", int, train.test_size),
-            hidden_analog=_get(parser, "train", "hidden_analog", tuple, ()),
-            hidden_digital=_get(parser, "train", "hidden_digital", tuple, ()),
-            support_scale=_get(parser, "train", "support_scale", float,
-                               train.support_scale),
-            steepness=_get(parser, "train", "steepness", float, train.steepness),
-        )
-
-    section = "sweep" if parser.has_section("sweep") else "simulate"
-    return ExperimentConfig(
-        scenario=name,
-        snr_db=_get(parser, "scenario", "snr_db", float),
-        csi_fraction=_get(parser, "scenario", "csi_fraction", float, 0.0),
-        csi_seed=_get(parser, "scenario", "csi_seed", int, 0),
-        channels=_get(parser, "design", "channels", int),
-        levels=_get(parser, "design", "levels", int),
-        support_scale=_get(parser, "design", "support_scale", float, 4.0),
-        support_scale_range=_get(parser, "design", "support_scale_range", tuple),
-        constraint=_get(parser, "design", "constraint", str),
-        partition=_get(parser, "design", "partition", tuple),
-        method=_get(parser, section, "method", str, "task_based"),
-        axis=_get(parser, section, "axis", str, "rate_bits"),
-        grid=_get(parser, section, "grid", tuple, ()),
-        trials=_get(parser, section, "trials", int, 10000),
-        seed=_get(parser, section, "seed", int, 0),
-        dither=_get(parser, section, "dither", bool, True),
-        rate_bits=_get(parser, section, "rate_bits", float),
-        output=_get(parser, section, "output", str),
-        train=train,
-    )
+    if parser.defaults():
+        raise ConfigError(f"[{parser.default_section}]: unknown section")
+    if parser.has_section("sweep") and parser.has_section("simulate"):
+        raise ConfigError("[simulate]: a config has [sweep] or [simulate], "
+                          "not both")
+    fields, train = {}, {}
+    for section in parser.sections():
+        casts = _KEYS.get("sweep" if section == "simulate" else section)
+        if casts is None:
+            raise ConfigError(f"[{section}]: unknown section")
+        target = train if section == "train" else fields
+        for key, raw in parser.items(section):
+            if key not in casts:
+                raise ConfigError(f"[{section}] {key}: unknown key")
+            try:
+                target["scenario" if key == "name" else key] = _cast(raw, casts[key])
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from exc
+    if "scenario" not in fields:
+        raise ConfigError("[scenario] name: required option is missing")
+    return ExperimentConfig(**fields, train=TrainSettings(**train))

@@ -101,8 +101,7 @@ def test_criterion_04_rate_sweep_orderings():
     rows = {}
     for method in ("task_based", "mmse_then_quantize"):
         cfg = ExperimentConfig(scenario="isi", method=method, grid=grid,
-                               trials=30000, seed=404, channels=8,
-                               include_bound=(method == "task_based"))
+                               trials=30000, seed=404, channels=8)
         result = harness.sweep(cfg)
         rows[method] = [r for r in result if r.method == method]
         if method == "task_based":

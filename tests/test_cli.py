@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,13 +199,22 @@ def test_bound_rows_match_sweep_bound_rows(isi_config, tmp_path):
     ("sweep", {"dither = true": "[train]\nsupport_scale = inf"},
      "[train] support_scale"),
     ("sweep", {"dither = true": "[train]\nsteepness = -50"}, "steepness"),
+    ("sweep", {"channels = 8": "chanels = 3"}, "[design] chanels"),
+    ("sweep", {"[design]": "[desing]"}, "[desing]"),
+    ("simulate", {"dither = true": "[simulate]\nrate_bits = 24"}, "[simulate]"),
+    ("sweep", {"levels = 16": "constraint = partial\npartition = 0 0.5 1"},
+     "[design] partition"),
+    ("sweep", {"levels = 16": "constraint = partial\npartition = 0 -1 1"},
+     "[design] partition"),
 ], ids=["grid-inf", "grid-overflow", "grid-nan", "channels-zero",
         "support-scale-negative", "support-scale-range-inf",
         "simulate-levels-zero", "trials-flag-zero", "csi-fraction-negative",
         "csi-fraction-nan", "method-quadratic", "test-size-zero",
         "train-size-zero", "epochs-zero", "batch-size-negative",
         "learning-rate-nan", "learning-rate-zero", "hidden-width-zero",
-        "hidden-width-fraction", "train-support-scale-inf", "steepness-negative"])
+        "hidden-width-fraction", "train-support-scale-inf", "steepness-negative",
+        "unknown-key", "unknown-section", "sweep-and-simulate",
+        "partition-fraction", "partition-negative"])
 def test_malformed_config_exits_one_with_one_line(tmp_path, capsys, command,
                                                   edits, named):
     text = ISI_CFG
@@ -272,11 +282,33 @@ def test_simulate_runs_the_configured_levels():
         for levels in range(2, 257):
             cfg = harness.ExperimentConfig(scenario="isi", channels=channels,
                                            levels=levels)
-            bits = cli._total_bits(cfg, scenario)
+            bits = harness.point_bits(cfg, scenario, cfg.method)
             if harness.levels_for(bits, channels) != levels:
                 short.append((channels, levels))
     assert short == []
     cfg = harness.ExperimentConfig(scenario="isi", channels=8, levels=5)
     _, des, _ = harness._mse_predictor(cfg, scenario,
-                                       cli._total_bits(cfg, scenario))
+                                       harness.point_bits(cfg, scenario,
+                                                          cfg.method))
     assert des.quantizer.levels == 5
+
+
+def test_design_and_simulate_spend_the_same_budget(tmp_path, capsys):
+    # rate_bits wins over levels for both: 24 bits on 8 channels is 8 levels
+    path = tmp_path / "both.cfg"
+    path.write_text(ISI_CFG.replace("dither = true", "rate_bits = 24"))
+    assert cli.main(["design", "--config", str(path)]) == 0
+    assert " levels=8 " in capsys.readouterr().out
+    assert cli.main(["simulate", "--config", str(path), "--trials", "50"]) == 0
+    axis = float(capsys.readouterr().out.splitlines()[1].split(",")[0])
+    assert harness.levels_for(axis, 8) == 8
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    path = tmp_path / "readme.cfg"
+    path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    cfg = harness.load_config(path)
+    assert (cfg.channels, cfg.levels, cfg.trials) == (8, 16, 100000)
+    assert cfg.grid == (8.0, 16.0, 24.0, 32.0, 40.0, 48.0)
+    assert cfg.train.epochs == 25

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -79,12 +80,29 @@ def test_sweep_ordering_task_vs_estimate_first():
     rows = {}
     for method in ("task_based", "mmse_then_quantize"):
         cfg = ExperimentConfig(scenario="isi", method=method, grid=(8, 24),
-                               trials=4000, seed=2, channels=8,
-                               include_bound=False)
-        rows[method] = [r for r in harness.sweep(cfg)]
+                               trials=4000, seed=2, channels=8)
+        rows[method] = [r for r in harness.sweep(cfg) if r.method == method]
     for a, b in zip(rows["task_based"], rows["mmse_then_quantize"]):
         combined = np.hypot(a.std_error, b.std_error)
         assert a.estimate <= b.estimate + 3 * combined
+
+
+@pytest.mark.parametrize("constraint", ["phase_only", "partial"])
+def test_constrained_sweep_matches_prediction(constraint):
+    sc = scenarios.isi_scenario()
+    partition = tuple(i % 8 for i in range(sc.n)) if constraint == "partial" else None
+    base = ExperimentConfig(scenario="isi", method="task_based", grid=(16, 24),
+                            trials=20000, seed=3, channels=8)
+    cfg = dataclasses.replace(base, method="constrained",
+                              constraint=constraint, partition=partition)
+    rows, unconstrained = harness.sweep(cfg)[:2], harness.sweep(base)[:2]
+    for row, free in zip(rows, unconstrained):
+        _, des, _ = harness._mse_predictor(cfg, sc, row.axis)
+        excess = des.predicted_excess_mse
+        gap = row.estimate - (sc.model.mmse_floor + excess)
+        assert abs(gap) <= 0.05 * excess + 3 * row.std_error
+        assert row.estimate >= free.estimate - 3 * np.hypot(row.std_error,
+                                                            free.std_error)
 
 
 def test_methods_on_quadratic_scenario():
@@ -168,6 +186,16 @@ dither = false
     assert cfg.grid == (8.0, 16.0, 24.0)
     assert cfg.trials == 1234
     assert cfg.dither is False
+
+
+def test_config_keys_name_dataclass_fields():
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    train = {f.name for f in dataclasses.fields(harness.TrainSettings)}
+    strays = [(section, key) for section, casts in harness._KEYS.items()
+              for key in casts
+              if ("scenario" if key == "name" else key)
+              not in (train if section == "train" else fields)]
+    assert strays == []
 
 
 def test_load_config_reports_field(tmp_path):
