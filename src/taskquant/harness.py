@@ -350,14 +350,17 @@ def _mse_predictor(config: ExperimentConfig, scenario, bits: float):
 
     if method == "mmse_then_quantize":
         if quadratic:
-            task = scenario.task
             lifted = scenario.lifted
             var = np.einsum("ij,jk,ik->i", lifted.model.task_matrix,
                             lifted.model.obs_cov, lifted.model.task_matrix)
             support = scale * float((np.sqrt(var) + np.abs(lifted.offsets)).max())
             spec = UniformQuantizerSpec(levels, support, dithered=True)
-            return (_squared_errors(scenario, lambda x, rng: _quantize_batch(
-                task.values(x), spec, rng, config.dither)), spec, realized)
+
+            def block(rng, count):  # the tasks are their own MMSE estimate
+                tasks = scenario.sampler(rng, count)[0]
+                quantized = _quantize_batch(tasks, spec, rng, config.dither)
+                return ((tasks - quantized) ** 2).sum(axis=1)
+            return block, spec, realized
         des = fixed_combiner_design(model.task_matrix, model, levels, scale)
         return _design_errors(scenario, des, config.dither), des, realized
 
@@ -628,7 +631,7 @@ def load_config(path) -> ExperimentConfig:
     Only the keys present are passed on, so each default lives on its field.
     `[simulate]` takes the keys of `[sweep]`; a config has one of the two.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)

@@ -66,9 +66,14 @@ class QuadraticTask:
 
     def values(self, x) -> np.ndarray:
         """Evaluate all quadratic forms on one observation or a batch."""
-        x = np.asarray(x, dtype=float)
-        return np.stack([np.einsum("...i,ij,...j->...", x, c, x)
-                         for c in self.forms], axis=-1)
+        return _form_values(x, self.forms)
+
+
+def _form_values(x, forms) -> np.ndarray:
+    """x^T C x for every form C on x (n,) or (..., n), in one matrix product."""
+    x = np.asarray(x, dtype=float)
+    y = (x @ np.concatenate(forms, axis=1)).reshape(x.shape[:-1] + np.shape(forms)[:2])
+    return np.einsum("...kj,...j->...k", y, x)
 
 
 def lift(x, input_cov) -> np.ndarray:
@@ -109,13 +114,16 @@ class LiftedTaskModel:
     offsets: np.ndarray
     input_cov: np.ndarray
 
-    def lift(self, x) -> np.ndarray:
-        return lift(x, self.input_cov)
-
     def estimate(self, design_: QuantizerDesign, x,
                  rng: np.random.Generator | None = None,
                  dither: bool | None = None) -> np.ndarray:
-        return estimate(design_, self.lift(x), rng=rng, dither=dither) + self.offsets
+        """Combiner row a as triangle F: a . lift(x) = x^T F x - a . cov_{i<=j}."""
+        iu, ju = np.triu_indices(len(self.input_cov))
+        forms = np.zeros((design_.channels,) + self.input_cov.shape)
+        forms[:, iu, ju] = design_.analog
+        combined = _form_values(x, forms) - design_.analog @ self.input_cov[iu, ju]
+        return estimate(design_, combined, rng=rng, dither=dither,
+                        combined=True) + self.offsets
 
 
 def to_linear_model(task: QuadraticTask) -> LiftedTaskModel:

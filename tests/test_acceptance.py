@@ -15,6 +15,7 @@ from taskquant.hardware import (PartialConnect, PhaseOnly, Unconstrained,
 from taskquant.harness import ExperimentConfig
 from taskquant.linear_task import (LinearTaskModel, design, estimate,
                                    excess_mse)
+from taskquant.quadratic_task import lift
 from taskquant.quant import UniformQuantizerSpec, dithered_quantize
 
 
@@ -130,7 +131,7 @@ def test_criterion_05_quadratic_linearity_certificate():
     des = design(lifted.model, p, 4, support_scale=3.0)
     rng = np.random.default_rng(505)
     _, x = sc.sampler(rng, 10 ** 5)
-    z = lifted.lift(x) @ des.analog.T
+    z = lift(x, lifted.input_cov) @ des.analog.T
     values = sc.task.values(x)
     base = np.column_stack([np.ones(len(z)), z])
     quad = np.column_stack([base] + [

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -312,3 +314,24 @@ def test_readme_config_example_loads(tmp_path):
     assert (cfg.channels, cfg.levels, cfg.trials) == (8, 16, 100000)
     assert cfg.grid == (8.0, 16.0, 24.0, 32.0, 40.0, 48.0)
     assert cfg.train.epochs == 25
+
+
+def test_percent_in_a_value_is_literal(tmp_path, capsys):
+    # values are not interpolated: a lone % is an ordinary character
+    out = tmp_path / "100%.csv"
+    path = tmp_path / "percent.cfg"
+    path.write_text(ISI_CFG + f"output = {out}\n")
+    assert harness.load_config(path).output == str(out)
+    assert cli.main(["sweep", "--config", str(path), "--trials", "50"]) == 0
+    assert out.read_text().startswith("axis,method,metric,")
+
+
+def test_python_dash_m_runs_the_cli(isi_config):
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "taskquant", "sweep", "--config",
+         str(isi_config), "--trials", "100"],
+        capture_output=True, text=True, timeout=120, cwd=src)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0] == (
+        "axis,method,metric,estimate,std_error,trials")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from taskquant.linear_task import design
+from taskquant.linear_task import design, estimate
 from taskquant.quadratic_task import (QuadraticTask, lift, lifted_covariance,
                                       to_linear_model)
 
@@ -94,7 +94,7 @@ def test_to_linear_model_coordinate_selector():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((500, 2))
     np.testing.assert_allclose(
-        lifted.model.task_matrix @ lifted.lift(x).T + lifted.offsets[:, None],
+        lifted.model.task_matrix @ lift(x, lifted.input_cov).T + lifted.offsets[:, None],
         (x[:, 0] ** 2)[None, :], atol=1e-12)
 
 
@@ -108,7 +108,7 @@ def test_task_values_match_lifted_rows():
     lifted = to_linear_model(task)
     x = rng.standard_normal((200, 4)) @ np.linalg.cholesky(cov).T
     direct = task.values(x)
-    via_lift = lifted.lift(x) @ lifted.model.task_matrix.T + lifted.offsets
+    via_lift = lift(x, lifted.input_cov) @ lifted.model.task_matrix.T + lifted.offsets
     np.testing.assert_allclose(via_lift, direct, atol=1e-10)
 
 
@@ -122,7 +122,7 @@ def test_regression_recovers_recovery_coefficients():
     lifted = to_linear_model(task)
     a = rng.standard_normal((6, lifted.model.n))
     x = rng.standard_normal((10 ** 5, 3)) @ np.linalg.cholesky(cov).T
-    z = lifted.lift(x) @ a.T
+    z = lift(x, lifted.input_cov) @ a.T
     values = task.values(x)
     design_mtx = np.column_stack([np.ones(len(z)), z])
     for i, row in enumerate(lifted.model.task_matrix):
@@ -148,6 +148,35 @@ def test_estimate_quadratic_fine_limit_and_offsets():
     first = lifted.estimate(des, np.zeros((1, 3)), dither=False)
     second = lifted.estimate(des, np.zeros((1, 3)), dither=False)
     np.testing.assert_allclose(first, second)
+
+
+@pytest.mark.parametrize("batch", [(), (7,), (3, 5)])
+def test_values_match_per_form_reference(batch):
+    # one stacked matrix product against the per-form three-operand einsum
+    rng = np.random.default_rng(7)
+    forms = tuple(0.5 * (m + m.T) for m in rng.standard_normal((4, 5, 5)))
+    task = QuadraticTask(forms, exp_cov(5))
+    x = rng.standard_normal(batch + (5,))
+    reference = np.stack([np.einsum("...i,ij,...j->...", x, c, x)
+                          for c in forms], axis=-1)
+    values = task.values(x)
+    assert values.shape == batch + (4,)
+    np.testing.assert_allclose(values, reference, rtol=1e-12,
+                               atol=1e-12 * np.abs(reference).max())
+
+
+def test_lifted_estimate_matches_estimate_on_the_lift():
+    # the combiner acts through quadratic forms; the quantized outputs match
+    # the pipeline run on the lift itself
+    rng = np.random.default_rng(8)
+    cov = exp_cov(4)
+    forms = tuple(0.5 * (m + m.T) for m in rng.standard_normal((3, 4, 4)))
+    lifted = to_linear_model(QuadraticTask(forms, cov))
+    des = design(lifted.model, lifted.model.k, 2 ** 12, support_scale=12.0)
+    x = rng.standard_normal((2000, 4)) @ np.linalg.cholesky(cov).T
+    np.testing.assert_array_equal(
+        lifted.estimate(des, x, dither=False),
+        estimate(des, lift(x, cov), dither=False) + lifted.offsets)
 
 
 def test_form_validation():
