@@ -242,14 +242,17 @@ def _squared_errors(scenario, predict, combiner=None):
     """Block function (rng, count) -> per-trial squared task error.
 
     With a combiner, the scenario's sampler hands `predict` the combined
-    observations instead of the raw ones.
+    observations y and the trial scores E[s | y] instead of the task, plus
+    the residual E||s - E[s | y]||^2: the same expected error, from fewer
+    draws and with no more variance.
     """
     def block(rng, count):
         if combiner is None:
             tasks, obs = scenario.sampler(rng, count)
+            residual = 0.0
         else:
-            tasks, obs = scenario.sampler(rng, count, combiner=combiner)
-        return ((tasks - predict(obs, rng)) ** 2).sum(axis=1)
+            tasks, obs, residual = scenario.sampler(rng, count, combiner=combiner)
+        return ((tasks - predict(obs, rng)) ** 2).sum(axis=1) + residual
 
     return block
 
@@ -257,8 +260,10 @@ def _squared_errors(scenario, predict, combiner=None):
 def _design_errors(scenario, des: QuantizerDesign, dither: bool):
     """Per-trial squared errors of a designed pipeline with its fixed combiner.
 
-    Gaussian linear scenarios draw (task, A x) jointly, so the n-dimensional
-    observation is never built; quadratic scenarios run through the lift.
+    Gaussian linear scenarios draw only y = A x and score each trial by the
+    task's conditional mean plus its closed-form residual, so the
+    n-dimensional observation is never built; quadratic scenarios draw x and
+    evaluate the combiner rows as quadratic forms on it.
     """
     if scenario.kind == "quadratic":
         lifted = scenario.lifted
@@ -351,8 +356,7 @@ def _mse_predictor(config: ExperimentConfig, scenario, bits: float):
     if method == "mmse_then_quantize":
         if quadratic:
             lifted = scenario.lifted
-            var = np.einsum("ij,jk,ik->i", lifted.model.task_matrix,
-                            lifted.model.obs_cov, lifted.model.task_matrix)
+            var = np.diag(lifted.model.estimate_covariance())
             support = scale * float((np.sqrt(var) + np.abs(lifted.offsets)).max())
             spec = UniformQuantizerSpec(levels, support, dithered=True)
 
@@ -371,7 +375,7 @@ def _mse_predictor(config: ExperimentConfig, scenario, bits: float):
         return (_squared_errors(scenario, lambda x, rng: task.values(
             _quantize_batch(x, spec, rng, config.dither))), spec, realized)
     des = fixed_combiner_design(np.eye(model.n), model, levels, scale)
-    # A = I: the joint draw would save nothing, so sample x itself
+    # A = I: the conditional draw would save little, so sample x itself
     return (_squared_errors(scenario, lambda x, rng: estimate(
         des, x, rng=rng, dither=config.dither)), des, realized)
 

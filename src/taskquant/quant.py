@@ -95,6 +95,18 @@ def _check_finite(z):
     return z
 
 
+def _to_midpoints(buf, spec: UniformQuantizerSpec):
+    """Replace each entry of the float array `buf` by its cell's midpoint."""
+    buf += spec.support
+    buf /= spec.spacing
+    np.floor(buf, out=buf)
+    np.clip(buf, 0, spec.levels - 1, out=buf)
+    buf += 0.5
+    buf *= spec.spacing
+    buf -= spec.support
+    return buf if buf.ndim else float(buf)
+
+
 def uniform_quantize(z, spec: UniformQuantizerSpec):
     """Quantize to the midpoint of the cell containing z.
 
@@ -102,12 +114,7 @@ def uniform_quantize(z, spec: UniformQuantizerSpec):
     boundary belongs to the upper cell. Scalars in, scalar out; arrays are
     quantized elementwise.
     """
-    z = _check_finite(z)
-    delta = spec.spacing
-    cell = np.floor((z + spec.support) / delta)
-    cell = np.clip(cell, 0, spec.levels - 1)
-    out = -spec.support + delta * (cell + 0.5)
-    return out if out.ndim else float(out)
+    return _to_midpoints(_check_finite(np.array(z, dtype=float)), spec)
 
 
 def dithered_quantize(z, spec: UniformQuantizerSpec, rng: np.random.Generator):
@@ -119,9 +126,9 @@ def dithered_quantize(z, spec: UniformQuantizerSpec, rng: np.random.Generator):
     """
     if not spec.dithered:
         raise ValueError("spec is not dithered; use uniform_quantize")
-    z = _check_finite(z)
-    u = rng.uniform(-0.5 * spec.spacing, 0.5 * spec.spacing, size=z.shape)
-    return uniform_quantize(z + u, spec)
+    u = rng.uniform(-0.5 * spec.spacing, 0.5 * spec.spacing, size=np.shape(z))
+    u += np.asarray(z, dtype=float)
+    return _to_midpoints(_check_finite(u), spec)
 
 
 def noise_variance(spec: UniformQuantizerSpec) -> float:

@@ -42,7 +42,8 @@ class ScenarioSpec:
     name: str
     kind: str                       # "linear" | "quadratic" | "classification"
     sampler: Callable               # (rng, count) -> (tasks, observations);
-                                    # linear kinds also take combiner=A
+                                    # linear kinds also take combiner=A and
+                                    # return (E[s | A x], A x, residual MSE)
     model: Optional[LinearTaskModel] = None
     train_sampler: Optional[Callable] = None
     analytic_gamma: Optional[np.ndarray] = None
@@ -75,19 +76,23 @@ class ScenarioSpec:
         return np.clip(eig, 0.0, None)
 
 
-def _joint_root(mixing, cov_s, noise_var, combiner) -> np.ndarray:
-    """Symmetric root of the covariance of (task, combiner @ observation).
+def _conditional_law(mixing, cov_s, noise_var, combiner):
+    """Draw matrix [R | M] and residual r of y = A x and E[s | y] = K y.
 
-    The covariance is [[S, S H^T A^T], [A H S, A (H S H^T + noise I) A^T]].
-    A combiner with zero-gain rows makes it singular, so the root comes from
-    eigh with negative rounding eigenvalues clipped to zero, not Cholesky.
+    With g ~ N(0, I_p), y = g R and K y = g M, where Σ_yy = Q diag(w) Q^T,
+    R = Q sqrt(w) Q^T and M = (Σ_sy Q_r w_r^(-1/2) Q_r^T)^T, so one product
+    g [R | M] gives both; r = tr Σ_s - tr(K Σ_ys) = E||s - K y||^2. A combiner
+    with zero-gain rows makes Σ_yy singular, so eigenvalues are clipped at
+    zero for R and only those above 1e-12 of the largest enter K.
     """
-    cross = combiner @ mixing @ cov_s
-    cov = np.block([[cov_s, cross.T],
-                    [cross, cross @ mixing.T @ combiner.T
-                     + noise_var * combiner @ combiner.T]])
-    w, q = np.linalg.eigh(0.5 * (cov + cov.T))
-    return (q * np.sqrt(np.clip(w, 0.0, None))) @ q.T
+    cross = combiner @ mixing @ cov_s                       # Σ_ys
+    cov_y = cross @ mixing.T @ combiner.T + noise_var * combiner @ combiner.T
+    w, q = np.linalg.eigh(0.5 * (cov_y + cov_y.T))
+    w = np.clip(w, 0.0, None)
+    kept = w > 1e-12 * w.max()
+    gain = cross.T @ (q[:, kept] / np.sqrt(w[kept]))        # Σ_sy Q_r w_r^(-1/2)
+    draw = np.hstack([(q * np.sqrt(w)) @ q.T, q[:, kept] @ gain.T])
+    return draw, float(np.trace(cov_s) - np.sum(gain * gain))
 
 
 def _observe(mixing, s, noise_std, rng) -> np.ndarray:
@@ -99,24 +104,26 @@ def _mixing_sampler(draw_tasks, mixing, noise_var, cov_s=None):
     """Sampler of (tasks, x = H s + w) with w of variance noise_var.
 
     Gaussian task priors (cov_s given) also take a real combiner A and then
-    draw (tasks, A x) jointly without building the observations.
+    draw only y = A x, from its p-dimensional law, returning (E[s | y], y, r)
+    with r = E||s - E[s | y]||^2: a trial's expected squared error is
+    E||E[s | y] - s_hat(y)||^2 + r for any estimate s_hat(y) of the task.
     """
     noise_std = np.sqrt(noise_var)
-    last = [None]  # (combiner copy, joint root), reused while the combiner repeats
+    last = [None]  # (combiner copy, draw matrix, r), reused while A repeats
 
     def sample(rng: np.random.Generator, count: int, combiner=None):
         if combiner is not None:
             if cov_s is None or np.iscomplexobj(combiner):
-                raise ValueError("the joint draw needs a Gaussian task prior "
-                                 "and a real combiner")
+                raise ValueError("the conditional draw needs a Gaussian task "
+                                 "prior and a real combiner")
             a = np.asarray(combiner, dtype=float)
             entry = last[0]
             if entry is None or not np.array_equal(entry[0], a):
-                entry = (a.copy(), _joint_root(mixing, cov_s, noise_var, a))
+                entry = (a.copy(), *_conditional_law(mixing, cov_s, noise_var, a))
                 last[0] = entry
-            z = rng.standard_normal((count, entry[1].shape[0])) @ entry[1]
-            k = cov_s.shape[0]
-            return z[:, :k], z[:, k:]
+            p = a.shape[0]
+            z = rng.standard_normal((count, p)) @ entry[1]
+            return z[:, p:], z[:, :p], entry[2]
         s = draw_tasks(rng, count)
         return s, _observe(mixing, s, noise_std, rng)
 

@@ -7,7 +7,7 @@ import pytest
 from taskquant import harness, io, scenarios
 from taskquant.errors import ConfigError
 from taskquant.harness import ExperimentConfig
-from taskquant.linear_task import design
+from taskquant.linear_task import design, estimate
 
 
 def test_result_row_csv_format():
@@ -25,6 +25,27 @@ def test_simulate_mse_matches_prediction_and_is_deterministic():
     assert row1.std_error == row2.std_error
     total = sc.model.mmse_floor + des.predicted_excess_mse
     assert row1.estimate == pytest.approx(total, rel=0.03)
+
+
+@pytest.mark.parametrize("case", ["isi_8x4", "dft_pilot_160", "isi_rank_deficient"])
+def test_simulate_mse_agrees_with_full_observation_reference(case):
+    # scoring E[s | A x] plus its residual changes no expectation, only the SE
+    make, channels, levels, scale = {
+        "isi_8x4": (scenarios.isi_scenario, 8, 4, 4.0),
+        "dft_pilot_160": (scenarios.dft_pilot_scenario, 40, 16, 4.0),
+        "isi_rank_deficient": (scenarios.isi_scenario, 8, 2, 3.0)}[case]
+    sc = make()
+    des = design(sc.model, channels, levels, scale)
+    trials = 20_000
+
+    def reference(rng, count):
+        s, x = sc.sampler(rng, count)
+        return ((s - estimate(des, x, rng=rng, dither=True)) ** 2).sum(axis=1)
+
+    ref, ref_se = harness._monte_carlo(reference, trials, seed=6)
+    row = harness.simulate_mse(des, sc, trials, seed=5, dither=True)
+    assert abs(row.estimate - ref) <= 3 * np.hypot(row.std_error, ref_se)
+    assert row.std_error <= ref_se
 
 
 def test_simulate_mse_single_trial_has_no_std_error():

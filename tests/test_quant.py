@@ -81,6 +81,45 @@ def test_dither_pinned_to_zero_matches_plain():
     assert dithered_quantize(0.0, spec, ZeroDither()) == 0.25
 
 
+def _two_step_quantize(z, spec, rng=None):
+    # the cell formula applied to z, or to z plus a fresh dither draw
+    z = np.asarray(z, dtype=float)
+    if rng is not None:
+        z = z + rng.uniform(-0.5 * spec.spacing, 0.5 * spec.spacing, size=z.shape)
+    cell = np.clip(np.floor((z + spec.support) / spec.spacing), 0, spec.levels - 1)
+    return -spec.support + spec.spacing * (cell + 0.5)
+
+
+_QUANTIZER_INPUTS = {
+    "scalar": -0.61,
+    "1d": np.random.default_rng(1).normal(0.0, 1.0, 1000),
+    "strided_2d": np.random.default_rng(2).normal(0.0, 1.0, (64, 80))[::2, 1::3],
+    "saturating": np.array([-1e6, -1.3, -1.3 + 1e-12, 1.3 - 1e-12, 1.3, 2.0, 1e6]),
+}
+
+
+@pytest.mark.parametrize("case", list(_QUANTIZER_INPUTS))
+def test_quantizers_match_two_step_formula_bit_for_bit(case):
+    z = _QUANTIZER_INPUTS[case]
+    before = np.array(z, copy=True)
+    spec = UniformQuantizerSpec(levels=13, support=1.3, dithered=True)
+    plain = uniform_quantize(z, spec)
+    dithered = dithered_quantize(z, spec, np.random.default_rng(9))
+    assert np.asarray(plain).tobytes() == _two_step_quantize(z, spec).tobytes()
+    assert np.asarray(dithered).tobytes() == _two_step_quantize(
+        z, spec, np.random.default_rng(9)).tobytes()
+    assert np.asarray(z).tobytes() == before.tobytes()
+    if case == "scalar":
+        assert type(plain) is float and type(dithered) is float
+
+
+def test_dithered_quantize_rejects_non_finite():
+    spec = UniformQuantizerSpec(levels=4, support=1.0, dithered=True)
+    for z in (np.nan, np.array([0.1, -np.inf])):
+        with pytest.raises(ValueError):
+            dithered_quantize(z, spec, np.random.default_rng(0))
+
+
 def test_dither_requires_flag():
     spec = UniformQuantizerSpec(levels=4, support=1.0, dithered=False)
     with pytest.raises(ValueError):

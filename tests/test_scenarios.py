@@ -156,15 +156,18 @@ def _joint_cases():
 @pytest.mark.parametrize("case", ["isi", "dft_pilot", "isi_rank_deficient"])
 def test_joint_sampler_matches_analytic_covariance(case):
     sc, a = _joint_cases()[case]
+    cov_y = a @ sc.model.obs_cov @ a.T
     if case == "isi_rank_deficient":
-        assert np.linalg.matrix_rank(a @ sc.model.obs_cov @ a.T) < a.shape[0]
+        assert np.linalg.matrix_rank(cov_y) < a.shape[0]
     count = 60_000
-    s, y = sc.sampler(np.random.default_rng(21), count, combiner=a)
-    assert s.shape == (count, sc.k) and y.shape == (count, a.shape[0])
-    cross = a @ sc.mixing @ sc.prior_cov
-    expected = np.block([[sc.prior_cov, cross.T],
-                         [cross, a @ sc.model.obs_cov @ a.T]])
-    z = np.hstack([s, y])
+    mean, y, residual = sc.sampler(np.random.default_rng(21), count, combiner=a)
+    assert mean.shape == (count, sc.k) and y.shape == (count, a.shape[0])
+    cross = a @ sc.mixing @ sc.prior_cov                   # Cov(y, s)
+    gain = cross.T @ np.linalg.pinv(cov_y, rcond=1e-10, hermitian=True)
+    trace_s = np.trace(sc.prior_cov)
+    assert abs(residual + np.trace(gain @ cross) - trace_s) <= 1e-10 * trace_s
+    expected = np.block([[gain @ cross, cross.T], [cross, cov_y]])
+    z = np.hstack([mean, y])
     empirical = z.T @ z / count
     var = np.diag(expected)
     se = np.sqrt((np.outer(var, var) + expected ** 2) / count)
@@ -179,7 +182,7 @@ def test_joint_sampler_overload_rate_matches_full_sampler():
         support = des.quantizer.support
         _, x = sc.sampler(np.random.default_rng(31), count)
         full = np.mean(np.abs(x @ des.analog.T) > support)
-        _, y = sc.sampler(np.random.default_rng(32), count, combiner=des.analog)
+        _, y, _ = sc.sampler(np.random.default_rng(32), count, combiner=des.analog)
         joint = np.mean(np.abs(y) > support)
         rate = 0.5 * (full + joint)
         se = np.sqrt(2 * rate * (1 - rate) / (count * des.channels))
