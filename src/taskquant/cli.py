@@ -16,7 +16,6 @@ import numpy as np
 
 from . import deep, harness, io
 from .errors import ConfigError, NumericalError
-from .linear_task import design as design_pipeline
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,12 +56,12 @@ def _load(args) -> harness.ExperimentConfig:
 
 
 def _design_for_config(cfg: harness.ExperimentConfig):
+    """The task_based design that the config's sweep builds at its budget."""
     scenario = harness.build_scenario(cfg)
-    channels = harness.quantizer_count("task_based", scenario, cfg.channels)
-    levels = harness.levels_for(
-        harness.point_bits(cfg, scenario, "task_based"), channels)
-    scale = harness.feasible_support_scale(cfg.support_scale, levels)
-    return scenario, design_pipeline(scenario.model, channels, levels, scale)
+    bits = harness.point_bits(cfg, scenario, "task_based")
+    _, des, _ = harness._mse_predictor(
+        dataclasses.replace(cfg, method="task_based"), scenario, bits)
+    return scenario, des
 
 
 def _cmd_design(args) -> int:
@@ -93,6 +92,9 @@ def _cmd_simulate(args) -> int:
         point = float(cfg.snr_db)
     else:
         point = harness.point_bits(cfg, scenario, cfg.method)
+        # a one-point grid would restart the support-scale schedule
+        cfg = dataclasses.replace(cfg, support_scale_range=None,
+                                  support_scale=harness._support_scale_at(cfg, point))
     # bound rows follow the grid rows, so the first row is the point's own
     rows = harness.sweep(dataclasses.replace(cfg, grid=(point,), output=None))[:1]
     harness.write_csv(rows, sys.stdout)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -276,15 +276,10 @@ class TrainConfig:
     batch_size: int = 128
     epochs: int = 40
     seed: int = 0
-    c_schedule: Optional[Sequence[float]] = None   # steepness multipliers per epoch
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
             raise ValueError("learning_rate, batch_size, epochs must be positive")
-        if self.c_schedule is not None:
-            sched = np.asarray(self.c_schedule, dtype=float)
-            if np.any(sched <= 0) or np.any(np.diff(sched) < 0):
-                raise ValueError("c_schedule must be positive and non-decreasing")
 
 
 def _parameter_steps(net: Network, grads: Gradients):
@@ -311,12 +306,8 @@ def train(net: Network, x, targets, config: TrainConfig) -> list:
     targets = np.asarray(targets)
     rng = np.random.default_rng(config.seed)
     lr = config.learning_rate
-    base_steepness = net.quantizer.steepness.copy()
     history = []
     for epoch in range(config.epochs):
-        if config.c_schedule is not None:
-            idx = min(epoch, len(config.c_schedule) - 1)
-            net.quantizer.steepness = base_steepness * config.c_schedule[idx]
         order = rng.permutation(count)
         epoch_losses = []
         for start in range(0, count, config.batch_size):

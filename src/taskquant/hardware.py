@@ -1,9 +1,10 @@
 """Combiner feasibility models: phase-only and partially-connected networks,
-and the metasurface (Lorentzian-element) combiner with its structured matrix.
+and the metasurface combiner of Lorentzian elements on microstrips.
 
+Each model projects a combiner onto its feasible set with `project`.
 Constrained designs are one-shot: design the unconstrained combiner, project
-it onto the feasible set, re-size the quantizer support for the projected
-combiner's channel variances, and re-optimize the digital matrix.
+it, re-size the quantizer support for the projected combiner's channel
+variances, and re-optimize the digital matrix.
 """
 
 from __future__ import annotations
@@ -20,13 +21,10 @@ __all__ = [
     "PhaseOnly",
     "PartialConnect",
     "LorentzianCombiner",
-    "LorentzianElement",
     "PropagationModel",
     "ParameterGrid",
     "project_phase_only",
     "apply_partial_mask",
-    "lorentzian_response",
-    "dma_combiner",
     "project_lorentzian",
     "real_composite",
     "nearest_complex_blocks",
@@ -34,29 +32,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LorentzianElement:
-    """Resonant metamaterial element: frequency response of Lorentzian form."""
-
-    strength: float       # oscillator strength, dimensionless
-    damping: float        # rad/s
-    resonance: float      # angular resonance frequency, rad/s
-
-    def __post_init__(self):
-        if self.strength <= 0 or self.damping <= 0 or self.resonance <= 0:
-            raise ValueError("element parameters must be positive")
-
-
 def _lorentzian(strength, damping, resonance, omega):
     """The Lorentzian law F w^2 / (w_R^2 - w^2 - j w chi); broadcasts."""
     return strength * omega ** 2 / (resonance ** 2 - omega ** 2 - 1j * omega * damping)
-
-
-def lorentzian_response(element: LorentzianElement, omega: float) -> complex:
-    """Element response F w^2 / (w_R^2 - w^2 - j w chi) at angular frequency w."""
-    if omega <= 0:
-        raise ValueError("frequency must be positive")
-    return _lorentzian(element.strength, element.damping, element.resonance, omega)
 
 
 @dataclass(frozen=True)
@@ -78,34 +56,6 @@ class PropagationModel:
         return np.exp(-position * (self.attenuation + 1j * omega * self.delay))
 
 
-def _strip_walk(strip_sizes):
-    """(row, column, position from the port) of each on-strip entry, strip by strip."""
-    col = 0
-    for row, size in enumerate(strip_sizes):
-        for pos in range(size):
-            yield row, col, pos
-            col += 1
-
-
-def dma_combiner(microstrips, omega: float,
-                 propagation: PropagationModel | None = None) -> np.ndarray:
-    """Combining matrix of a metasurface antenna at a single frequency.
-
-    microstrips is a list of element lists; row i holds the products
-    element-response * propagation-response for the elements of strip i and
-    zeros for every element on other strips, giving the block sparsity of the
-    physical layout. Columns are ordered strip by strip.
-    """
-    if propagation is None:
-        propagation = PropagationModel()
-    sizes = [len(strip) for strip in microstrips]
-    out = np.zeros((len(sizes), sum(sizes)), dtype=complex)
-    for i, col, pos in _strip_walk(sizes):
-        out[i, col] = (lorentzian_response(microstrips[i][pos], omega)
-                       * propagation.response(pos, omega))
-    return out
-
-
 def project_phase_only(matrix) -> np.ndarray:
     """Project each entry to unit modulus, keeping its phase; zeros map to +1."""
     a = np.asarray(matrix)
@@ -116,36 +66,22 @@ def project_phase_only(matrix) -> np.ndarray:
     return out
 
 
-def _validate_partition(subsets, rows: int, cols: int):
-    seen = np.zeros(cols, dtype=bool)
-    if len(subsets) != rows:
-        raise ValueError(f"partition has {len(subsets)} subsets for {rows} rows")
-    for subset in subsets:
-        for j in subset:
-            if not 0 <= j < cols:
-                raise ValueError(f"antenna index {j} out of range")
-            if seen[j]:
-                raise ValueError(f"antenna {j} assigned to more than one quantizer")
-            seen[j] = True
-    if not seen.all():
-        missing = np.flatnonzero(~seen)
-        raise ValueError(f"antennas {missing.tolist()} are unassigned")
+def apply_partial_mask(matrix, owners) -> np.ndarray:
+    """Zero every entry (i, j) of a combiner with owners[j] != i.
 
-
-def apply_partial_mask(matrix, subsets):
-    """Zero the entries outside each row's antenna subset.
-
-    subsets[i] lists the antennas wired to quantizer i and must partition the
-    columns. Returns (masked matrix, Frobenius norm of what was removed).
+    owners[j] is the quantizer (row) that antenna (column) j feeds; there must
+    be one owner per column, and every row must own at least one antenna.
     """
     a = np.array(matrix)
-    _validate_partition(subsets, a.shape[0], a.shape[1])
-    mask = np.zeros(a.shape, dtype=bool)
-    for i, subset in enumerate(subsets):
-        mask[i, list(subset)] = True
-    removed = np.linalg.norm(a[~mask])
-    a[~mask] = 0
-    return a, float(removed)
+    owners = np.asarray(owners)
+    rows, cols = a.shape
+    if owners.shape != (cols,):
+        raise ValueError(f"partition has {owners.size} owners for {cols} antennas")
+    if not np.array_equal(np.unique(owners), np.arange(rows)):
+        raise ValueError(f"partition owners must be the quantizers "
+                         f"0..{rows - 1}, each owning at least one antenna")
+    a[owners != np.arange(rows)[:, None]] = 0
+    return a
 
 
 @dataclass(frozen=True)
@@ -201,12 +137,15 @@ def project_lorentzian(desired, strip_sizes, omega: float, grid: ParameterGrid,
     candid = grid.responses(omega)
     feasible = np.zeros_like(desired)
     params = {}
-    for i, col, pos in _strip_walk(strip_sizes):
-        h = propagation.response(pos, omega)
-        best = int(np.argmin(np.abs(candid - desired[i, col] / h)))
-        feasible[i, col] = candid[best] * h
-        params[(i, col)] = tuple(float(values[j]) for values, j
-                                 in zip(axes, np.unravel_index(best, shape)))
+    col = 0    # columns run strip by strip, each from its output port
+    for i, size in enumerate(strip_sizes):
+        for pos in range(size):
+            h = propagation.response(pos, omega)
+            best = int(np.argmin(np.abs(candid - desired[i, col] / h)))
+            feasible[i, col] = candid[best] * h
+            params[(i, col)] = tuple(float(values[j]) for values, j
+                                     in zip(axes, np.unravel_index(best, shape)))
+            col += 1
     residual = float(np.sum(np.abs(desired - feasible) ** 2))
     return feasible, params, residual
 
@@ -235,16 +174,19 @@ class Unconstrained:
 
 @dataclass(frozen=True)
 class PhaseOnly:
-    pass
+    def project(self, analog):
+        return project_phase_only(analog)
 
 
 @dataclass(frozen=True)
 class PartialConnect:
-    subsets: tuple
+    owners: tuple    # owners[j]: the quantizer that antenna j feeds
 
     def __post_init__(self):
-        object.__setattr__(self, "subsets",
-                           tuple(tuple(int(j) for j in s) for s in self.subsets))
+        object.__setattr__(self, "owners", tuple(int(o) for o in self.owners))
+
+    def project(self, analog):
+        return apply_partial_mask(analog, self.owners)
 
 
 @dataclass(frozen=True)
@@ -255,23 +197,18 @@ class LorentzianCombiner:
     propagation: PropagationModel = field(default_factory=PropagationModel)
 
     def __post_init__(self):
+        if not self.omega > 0:
+            raise ValueError("frequency must be positive")
         object.__setattr__(self, "strip_sizes",
                            tuple(int(s) for s in self.strip_sizes))
 
-
-def _project(analog, constraint):
-    if isinstance(constraint, PhaseOnly):
-        return project_phase_only(analog)
-    if isinstance(constraint, PartialConnect):
-        masked, _ = apply_partial_mask(analog, constraint.subsets)
-        return masked
-    if isinstance(constraint, LorentzianCombiner):
-        desired = nearest_complex_blocks(analog)
-        feasible, _, _ = project_lorentzian(desired, constraint.strip_sizes,
-                                            constraint.omega, constraint.grid,
-                                            constraint.propagation)
+    def project(self, analog):
+        """Real composite of the metasurface combiner nearest to the complex
+        matrix that the real combiner `analog` embeds."""
+        feasible, _, _ = project_lorentzian(nearest_complex_blocks(analog),
+                                            self.strip_sizes, self.omega,
+                                            self.grid, self.propagation)
         return real_composite(feasible)
-    raise ValueError(f"unsupported constraint {constraint!r}")
 
 
 def constrained_design(model: LinearTaskModel, constraint, channels: int,
@@ -286,7 +223,7 @@ def constrained_design(model: LinearTaskModel, constraint, channels: int,
     base = design(model, channels, levels, support_scale)
     if isinstance(constraint, Unconstrained):
         return base
-    return fixed_combiner_design(_project(base.analog, constraint), model,
+    return fixed_combiner_design(constraint.project(base.analog), model,
                                  levels, support_scale,
                                  singular_values=base.singular_values,
                                  waterline=base.waterline)

@@ -202,12 +202,14 @@ def feasible_support_scale(requested: float, levels: int) -> float:
 
 
 def _support_scale_at(config: ExperimentConfig, bits: float) -> float:
+    """Std multiple at `bits`; the range runs over the grid, held at its ends."""
     if config.support_scale_range is None or not config.grid:
         return config.support_scale
     lo, hi = config.support_scale_range
     g0, g1 = config.grid[0], config.grid[-1]
     if g1 == g0:
         return lo
+    bits = min(max(bits, g0), g1)
     return lo + (hi - lo) * (bits - g0) / (g1 - g0)
 
 
@@ -349,8 +351,8 @@ def _mse_predictor(config: ExperimentConfig, scenario, bits: float):
         return _design_errors(scenario, des, config.dither), des, realized
 
     if method == "constrained":
-        des = constrained_design(model, _parse_constraint(config, model.n),
-                                 channels, levels, scale)
+        constraint = _parse_constraint(config, model.n, channels)
+        des = constrained_design(model, constraint, channels, levels, scale)
         return _design_errors(scenario, des, config.dither), des, realized
 
     if method == "mmse_then_quantize":
@@ -380,22 +382,23 @@ def _mse_predictor(config: ExperimentConfig, scenario, bits: float):
         des, x, rng=rng, dither=config.dither)), des, realized)
 
 
-def _parse_constraint(config: ExperimentConfig, n: int):
+def _parse_constraint(config: ExperimentConfig, n: int, channels: int):
     kind = config.constraint or "unconstrained"
     if kind == "unconstrained":
         return Unconstrained()
     if kind == "phase_only":
         return PhaseOnly()
     if kind == "partial":
-        if config.partition is None:
-            raise ConfigError("[design] partition: required for the partial constraint")
         owners = config.partition
+        if owners is None:
+            raise ConfigError("[design] partition: required for the partial constraint")
         if len(owners) != n:
             raise ConfigError(f"[design] partition: expected {n} entries")
-        rows = max(owners) + 1
-        subsets = [tuple(j for j, o in enumerate(owners) if o == i)
-                   for i in range(rows)]
-        return PartialConnect(tuple(subsets))
+        if set(owners) != set(range(channels)):
+            raise ConfigError(f"[design] partition: owners must be the "
+                              f"quantizers 0..{channels - 1}, each owning at "
+                              f"least one antenna")
+        return PartialConnect(owners)
     raise ConfigError(f"[design] constraint: unknown kind {kind!r}")
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import subprocess
@@ -28,6 +29,13 @@ trials = 400
 seed = 7
 dither = true
 """
+
+
+# partitions of isi's 120 antennas over its 8 configured ADCs: an owner
+# outside 0..7, ADC 7 idle, and ADC 3 idle
+OWNERS_MOD_9 = " ".join(str(j % 9) for j in range(120))
+OWNERS_MOD_7 = " ".join(str(j % 7) for j in range(120))
+OWNERS_NO_3 = " ".join(str((0, 1, 2, 4, 5, 6, 7)[j % 7]) for j in range(120))
 
 
 @pytest.fixture
@@ -208,6 +216,15 @@ def test_bound_rows_match_sweep_bound_rows(isi_config, tmp_path):
      "[design] partition"),
     ("sweep", {"levels = 16": "constraint = partial\npartition = 0 -1 1"},
      "[design] partition"),
+    ("sweep", {"levels = 16": f"constraint = partial\npartition = {OWNERS_MOD_9}",
+               "method = task_based": "method = constrained"},
+     "[design] partition"),
+    ("sweep", {"levels = 16": f"constraint = partial\npartition = {OWNERS_MOD_7}",
+               "method = task_based": "method = constrained"},
+     "[design] partition"),
+    ("sweep", {"levels = 16": f"constraint = partial\npartition = {OWNERS_NO_3}",
+               "method = task_based": "method = constrained"},
+     "[design] partition"),
 ], ids=["grid-inf", "grid-overflow", "grid-nan", "channels-zero",
         "support-scale-negative", "support-scale-range-inf",
         "simulate-levels-zero", "trials-flag-zero", "csi-fraction-negative",
@@ -216,7 +233,8 @@ def test_bound_rows_match_sweep_bound_rows(isi_config, tmp_path):
         "learning-rate-nan", "learning-rate-zero", "hidden-width-zero",
         "hidden-width-fraction", "train-support-scale-inf", "steepness-negative",
         "unknown-key", "unknown-section", "sweep-and-simulate",
-        "partition-fraction", "partition-negative"])
+        "partition-fraction", "partition-negative", "partition-owner-8",
+        "partition-idle-last-adc", "partition-idle-middle-adc"])
 def test_malformed_config_exits_one_with_one_line(tmp_path, capsys, command,
                                                   edits, named):
     text = ISI_CFG
@@ -304,6 +322,25 @@ def test_design_and_simulate_spend_the_same_budget(tmp_path, capsys):
     assert cli.main(["simulate", "--config", str(path), "--trials", "50"]) == 0
     axis = float(capsys.readouterr().out.splitlines()[1].split(",")[0])
     assert harness.levels_for(axis, 8) == 8
+
+
+def test_one_point_commands_follow_the_support_scale_schedule(tmp_path,
+                                                             capsys):
+    # at 24 bits, 3 -> 6.5 over grid 16..32 gives the sweep's std multiple 4.75
+    text = ISI_CFG.replace("support_scale = 4.0", "support_scale = 4.0\n"
+                           "support_scale_range = 3 6.5")
+    text = text.replace("grid = 8 16", "grid = 16 24 32").replace(
+        "dither = true", "rate_bits = 24")
+    path = tmp_path / "schedule.cfg"
+    path.write_text(text)
+    assert cli.main(["design", "--config", str(path)]) == 0
+    assert " support=1.7877 " in capsys.readouterr().out
+    assert cli.main(["simulate", "--config", str(path)]) == 0
+    simulated = capsys.readouterr().out.splitlines()[1]
+    cfg = harness.load_config(path)
+    fixed = dataclasses.replace(cfg, grid=(24.0,), support_scale=4.75,
+                                support_scale_range=None)
+    assert simulated == harness.sweep(fixed)[0].csv_line()
 
 
 def test_readme_config_example_loads(tmp_path):

@@ -368,19 +368,16 @@ def test_dataset_smaller_than_batch_rejected():
                    deep.TrainConfig(batch_size=8, epochs=1))
 
 
-def test_steepness_schedule_hook():
+def test_train_keeps_steepness_fixed():
     rng = np.random.default_rng(19)
     x = rng.standard_normal((64, 6))
     s = x @ rng.standard_normal((6, 2))
     net, _ = small_net(np.random.default_rng(20), hidden_analog=(),
                        hidden_digital=(), steepness=10.0)
     base = net.quantizer.steepness.copy()
-    cfg = deep.TrainConfig(learning_rate=1e-4, batch_size=32, epochs=3,
-                           seed=1, c_schedule=(1.0, 2.0, 4.0))
+    cfg = deep.TrainConfig(learning_rate=1e-4, batch_size=32, epochs=3, seed=1)
     deep.train(net, x, s, cfg)
-    np.testing.assert_allclose(net.quantizer.steepness, 4.0 * base)
-    with pytest.raises(ValueError):
-        deep.TrainConfig(c_schedule=(2.0, 1.0))
+    np.testing.assert_array_equal(net.quantizer.steepness, base)
     with pytest.raises(ValueError):
         deep.TrainConfig(learning_rate=-1.0)
 

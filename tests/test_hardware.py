@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from taskquant import scenarios
-from taskquant.hardware import (LorentzianCombiner, LorentzianElement,
-                                ParameterGrid, PartialConnect, PhaseOnly,
-                                PropagationModel, Unconstrained,
-                                apply_partial_mask, constrained_design,
-                                dma_combiner, lorentzian_response,
-                                nearest_complex_blocks, project_lorentzian,
-                                project_phase_only, real_composite)
+from taskquant.hardware import (LorentzianCombiner, ParameterGrid,
+                                PartialConnect, PhaseOnly, PropagationModel,
+                                Unconstrained, apply_partial_mask,
+                                constrained_design, nearest_complex_blocks,
+                                project_lorentzian, project_phase_only,
+                                real_composite)
 from taskquant.errors import NumericalError
 from taskquant.linear_task import (LinearTaskModel, design, excess_mse,
                                    fixed_combiner_design, mse_with_digital,
@@ -20,6 +19,17 @@ def random_model(rng, n, k):
     q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     cov = (q * rng.uniform(0.3, 3.0, n)) @ q.T
     return LinearTaskModel(obs_cov=cov, task_matrix=rng.standard_normal((k, n)))
+
+
+def lorentzian(strength, damping, resonance, omega):
+    """F w^2 / (w_R^2 - w^2 - j w chi), written out independently of the package."""
+    return (strength * omega * omega
+            / complex(resonance * resonance - omega * omega, -omega * damping))
+
+
+def one_point_grid(strength, damping, resonance):
+    return ParameterGrid(np.array([strength]), np.array([damping]),
+                         np.array([resonance]))
 
 
 def test_phase_only_entries():
@@ -41,83 +51,93 @@ def test_phase_only_idempotent():
 
 def test_partial_mask():
     a = np.arange(8.0).reshape(2, 4) + 1.0
-    masked, removed = apply_partial_mask(a, [(0, 1), (2, 3)])
+    owners = (0, 0, 1, 1)
+    masked = apply_partial_mask(a, owners)
     np.testing.assert_allclose(masked, [[1, 2, 0, 0], [0, 0, 7, 8]])
-    assert removed == pytest.approx(np.sqrt(3 ** 2 + 4 ** 2 + 5 ** 2 + 6 ** 2))
-    again, residual = apply_partial_mask(masked, [(0, 1), (2, 3)])
-    np.testing.assert_allclose(again, masked)
-    assert residual == 0.0
+    np.testing.assert_array_equal(a, np.arange(8.0).reshape(2, 4) + 1.0)
+    # idempotent: a masked combiner is feasible and projects to itself
+    np.testing.assert_array_equal(apply_partial_mask(masked, owners), masked)
+    # owners need not be grouped: antennas 0 and 2 feed quantizer 1
+    np.testing.assert_allclose(apply_partial_mask(a, (1, 0, 1, 0)),
+                               [[0, 2, 0, 4], [5, 0, 7, 0]])
 
 
 def test_partial_mask_diagonal_case():
     a = np.full((3, 3), 2.0)
-    masked, _ = apply_partial_mask(a, [(0,), (1,), (2,)])
+    masked = apply_partial_mask(a, (0, 1, 2))
     np.testing.assert_allclose(masked, 2.0 * np.eye(3))
 
 
 def test_partial_mask_residual_pythagorean():
+    # each entry is kept exactly or zeroed, so the kept and removed parts
+    # are orthogonal
     rng = np.random.default_rng(1)
     a = rng.standard_normal((4, 8))
-    subsets = [(0, 1), (2, 3), (4, 5), (6, 7)]
-    masked, removed = apply_partial_mask(a, subsets)
-    assert removed ** 2 + np.linalg.norm(masked) ** 2 == pytest.approx(
-        np.linalg.norm(a) ** 2)
+    masked = apply_partial_mask(a, (0, 0, 1, 1, 2, 2, 3, 3))
+    assert np.all((masked == a) | (masked == 0))
+    assert (np.linalg.norm(a - masked) ** 2 + np.linalg.norm(masked) ** 2
+            == pytest.approx(np.linalg.norm(a) ** 2))
 
 
 def test_partial_mask_rejects_non_partition():
-    a = np.zeros((2, 4))
-    with pytest.raises(ValueError):
-        apply_partial_mask(a, [(0, 1), (1, 2, 3)])
-    with pytest.raises(ValueError):
-        apply_partial_mask(a, [(0, 1), (2,)])
+    for owners in [(0, 0, 2, 2),      # quantizer 1, in the middle, owns nothing
+                   (0, 1, 1, 0),      # quantizer 2, at the end, owns nothing
+                   (0, 1, 2, 3),      # owner 3 is not one of the 3 quantizers
+                   (0, -1, 1, 2),     # negative owner
+                   (0, 1, 2),         # one owner short
+                   (0, 1, 2, 2, 1)]:  # one owner too many
+        with pytest.raises(ValueError):
+            apply_partial_mask(np.ones((3, 4)), owners)
 
 
 def test_lorentzian_response_values():
-    elem = LorentzianElement(strength=2.0, damping=3.0, resonance=10.0)
-    at_res = lorentzian_response(elem, 10.0)
+    def response(omega):
+        return one_point_grid(2.0, 3.0, 10.0).responses(omega)[0]
+    at_res = response(10.0)
     np.testing.assert_allclose(at_res, 1j * 2.0 * 10.0 / 3.0, rtol=1e-12)
     assert abs(at_res) == pytest.approx(2.0 * 10.0 / 3.0)
-    low = lorentzian_response(elem, 0.01)
+    low = response(0.01)
     assert low == pytest.approx(2.0 * 0.01 ** 2 / 10.0 ** 2, rel=1e-3)
 
 
 def test_dma_single_element_is_lorentzian():
-    elem = LorentzianElement(1.5, 2.0, 8.0)
-    out = dma_combiner([[elem]], omega=5.0)
-    assert out.shape == (1, 1)
-    assert out[0, 0] == lorentzian_response(elem, 5.0)
+    # a one-element strip over a one-point grid has one achievable response
+    feasible, params, _ = project_lorentzian(np.ones((1, 1)), [1], 5.0,
+                                             one_point_grid(1.5, 2.0, 8.0))
+    assert feasible.shape == (1, 1)
+    assert feasible[0, 0] == pytest.approx(lorentzian(1.5, 2.0, 8.0, 5.0),
+                                           rel=1e-14)
+    assert params == {(0, 0): (1.5, 2.0, 8.0)}
 
 
 def test_dma_lossless_propagation_magnitude():
-    elem = LorentzianElement(1.5, 2.0, 8.0)
-    strips = [[elem, elem, elem]]
-    out = dma_combiner(strips, omega=5.0,
-                       propagation=PropagationModel(attenuation=0.0, delay=0.3))
-    mags = np.abs(out[0])
-    np.testing.assert_allclose(mags, mags[0])
-    lossy = dma_combiner(strips, omega=5.0,
-                         propagation=PropagationModel(attenuation=0.2, delay=0.3))
-    assert np.all(np.diff(np.abs(lossy[0])) < 0)
+    omega, positions = 5.0, range(4)
+    lossless = PropagationModel(attenuation=0.0, delay=0.3)
+    mags = np.abs([lossless.response(pos, omega) for pos in positions])
+    np.testing.assert_allclose(mags, 1.0)
+    lossy = PropagationModel(attenuation=0.2, delay=0.3)
+    mags = np.abs([lossy.response(pos, omega) for pos in positions])
+    np.testing.assert_allclose(mags, np.exp(-0.2 * np.arange(4)))
+    assert np.all(np.diff(mags) < 0)
 
 
 def test_dma_block_sparsity():
     rng = np.random.default_rng(2)
-    strips = [[LorentzianElement(*rng.uniform(0.5, 3.0, 3)) for _ in range(3)],
-              [LorentzianElement(*rng.uniform(0.5, 3.0, 3)) for _ in range(2)]]
-    out = dma_combiner(strips, omega=2.0)
-    assert out.shape == (2, 5)
-    assert np.all(out[0, 3:] == 0)
-    assert np.all(out[1, :3] == 0)
-    assert np.all(out[0, :3] != 0)
-    assert np.all(out[1, 3:] != 0)
+    desired = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+    grid = ParameterGrid.regular((0.5, 3.0), (0.5, 3.0), (0.5, 3.0), count=4)
+    feasible, _, _ = project_lorentzian(desired, [3, 2], 2.0, grid)
+    assert feasible.shape == (2, 5)
+    assert np.all(feasible[0, 3:] == 0)
+    assert np.all(feasible[1, :3] == 0)
+    assert np.all(feasible[0, :3] != 0)
+    assert np.all(feasible[1, 3:] != 0)
 
 
 def test_project_lorentzian_exact_point():
     grid = ParameterGrid.regular((0.5, 2.0), (1.0, 3.0), (5.0, 9.0), count=4)
-    elem = LorentzianElement(grid.strengths[1], grid.dampings[2],
-                             grid.resonances[3])
     omega = 4.0
-    desired = np.array([[lorentzian_response(elem, omega)]])
+    desired = np.array([[lorentzian(grid.strengths[1], grid.dampings[2],
+                                    grid.resonances[3], omega)]])
     feasible, params, residual = project_lorentzian(desired, [1], omega, grid)
     assert residual == pytest.approx(0.0, abs=1e-18)
     np.testing.assert_allclose(feasible, desired)
@@ -153,8 +173,8 @@ def test_project_lorentzian_off_strip_zero_is_free():
         assert strength in grid.strengths
         assert damping in grid.dampings
         assert resonance in grid.resonances
-        elem = LorentzianElement(strength, damping, resonance)
-        assert (lorentzian_response(elem, omega) * prop.response(pos, omega)
+        assert (lorentzian(strength, damping, resonance, omega)
+                * np.exp(-pos * complex(0.1, omega * 0.2))
                 == pytest.approx(feasible[i, col], rel=1e-12))
     assert np.all(feasible[~mask] == 0)
 
@@ -200,8 +220,7 @@ def test_constrained_design_costs_more():
         base = design(model, k, levels)
         owners = rng.integers(0, k, size=n)
         owners[:k] = np.arange(k)     # every quantizer owns something
-        subsets = tuple(tuple(np.flatnonzero(owners == i)) for i in range(k))
-        for constraint in (PhaseOnly(), PartialConnect(subsets)):
+        for constraint in (PhaseOnly(), PartialConnect(owners)):
             con = constrained_design(model, constraint, k, levels)
             assert con.predicted_excess_mse >= base.predicted_excess_mse - 1e-9
 
@@ -251,8 +270,12 @@ def test_fixed_combiner_design_is_one_wiener_solve():
 
 def test_element_validation():
     with pytest.raises(ValueError):
-        LorentzianElement(0.0, 1.0, 1.0)
+        one_point_grid(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        lorentzian_response(LorentzianElement(1.0, 1.0, 1.0), -2.0)
+        one_point_grid(1.0, -1.0, 1.0)
     with pytest.raises(ValueError):
-        ParameterGrid(np.array([1.0]), np.array([-1.0]), np.array([1.0]))
+        PropagationModel(attenuation=-0.1)
+    for omega in (-2.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="frequency"):
+            LorentzianCombiner(strip_sizes=(1,), omega=omega,
+                               grid=one_point_grid(1.0, 1.0, 1.0))
