@@ -16,6 +16,7 @@ import numpy as np
 
 from . import deep, harness, io
 from .errors import ConfigError, NumericalError
+from .linear_task import QuantizerDesign
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,12 +57,16 @@ def _load(args) -> harness.ExperimentConfig:
 
 
 def _design_for_config(cfg: harness.ExperimentConfig):
-    """The task_based design that the config's sweep builds at its budget."""
+    """The configured method's design, as its sweep builds it at the config's
+    one-point budget."""
     scenario = harness.build_scenario(cfg)
-    bits = harness.point_bits(cfg, scenario, "task_based")
-    _, des, _ = harness._mse_predictor(
-        dataclasses.replace(cfg, method="task_based"), scenario, bits)
-    return scenario, des
+    if cfg.method in harness._MSE_METHODS:
+        bits = harness.point_bits(cfg, scenario, cfg.method)
+        des = harness._mse_predictor(cfg, scenario, bits)[1]
+        if isinstance(des, QuantizerDesign):
+            return scenario, des
+    raise ConfigError(f"[sweep] method: {cfg.method} on {scenario.name} has "
+                      f"no combiner design")
 
 
 def _cmd_design(args) -> int:
@@ -136,7 +141,8 @@ def _cmd_train(args) -> int:
         raise ConfigError("[sweep] rate_bits: total bit budget required for training")
     if scenario.kind == "classification":
         result = harness.train_deep_classifier(scenario, bits,
-                                               settings=cfg.train, seed=cfg.seed)
+                                               settings=cfg.train, seed=cfg.seed,
+                                               channels=cfg.channels)
     elif scenario.kind == "linear":
         result = harness.train_deep_estimator(scenario, bits, channels=cfg.channels,
                                               settings=cfg.train, seed=cfg.seed)

@@ -7,17 +7,21 @@ recovers the task. The whole chain trains end-to-end with plain SGD and
 hand-written reverse-mode gradients, and is hardened afterwards into a true
 piecewise-constant quantizer per channel. No path may bypass the quantization
 activation: the structure is a strict analog -> quantize -> digital chain.
+
+`TrainSettings`, a config's `[train]` section, holds every training knob and
+its default; `build_network` and `train` read theirs from it. `loss` and
+`backward` share one loss law: MSE, or cross-entropy for a classifier.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
-from typing import Sequence
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TrainingDiverged
+from .errors import ConfigError, TrainingDiverged
 from .quant import LearnedQuantizerSpec, UniformQuantizerSpec, learned_quantize
 
 __all__ = [
@@ -25,7 +29,7 @@ __all__ = [
     "SoftQuantizer",
     "HardQuantizer",
     "Network",
-    "TrainConfig",
+    "TrainSettings",
     "soft_quantize",
     "forward",
     "loss",
@@ -34,8 +38,7 @@ __all__ = [
     "harden",
     "classify",
     "glorot_init",
-    "build_estimation_network",
-    "build_classification_network",
+    "build_network",
 ]
 
 _ACTIVATIONS = ("identity", "tanh")
@@ -169,8 +172,7 @@ class Network:
 
 
 def _softmax(logits):
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -184,29 +186,41 @@ def _dense_forward(layers, x, cache=None):
     return x
 
 
-def forward(net: Network, x) -> np.ndarray:
-    """Network output: task estimates, or class probabilities summing to one."""
+def _digital_output(net: Network, x) -> np.ndarray:
+    """Last digital layer's output: task estimates, or class logits."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != net.input_dim:
         raise ValueError(f"input dimension {x.shape[1]} does not match "
                          f"network input {net.input_dim}")
     z = _dense_forward(net.analog, x)
-    q = net.quantizer.apply(z)
-    out = _dense_forward(net.digital, q)
-    if net.head == "classification":
-        return _softmax(out)
-    return out
+    return _dense_forward(net.digital, net.quantizer.apply(z))
+
+
+def forward(net: Network, x) -> np.ndarray:
+    """Network output: task estimates, or class probabilities summing to one."""
+    out = _digital_output(net, x)
+    return _softmax(out) if net.head == "classification" else out
+
+
+def _loss_and_grad(net: Network, out, targets):
+    """Batch MSE, or mean cross-entropy of softmax(out) against integer
+    labels, and its gradient with respect to the last digital output `out`."""
+    batch = out.shape[0]
+    if net.head == "estimation":
+        diff = out - np.atleast_2d(np.asarray(targets, dtype=float))
+        return float((diff ** 2).sum(axis=1).mean()), 2.0 * diff / batch
+    labels = np.asarray(targets, dtype=int)
+    grad = _softmax(out)
+    picked = grad[np.arange(batch), labels]
+    value = float(-np.log(np.maximum(picked, _PROB_FLOOR)).mean())
+    grad[np.arange(batch), labels] -= 1.0
+    grad /= batch
+    return value, grad
 
 
 def loss(net: Network, x, targets) -> float:
     """Mean squared error over the batch, or mean cross-entropy for labels."""
-    out = forward(net, x)
-    if net.head == "estimation":
-        targets = np.atleast_2d(np.asarray(targets, dtype=float))
-        return float(((targets - out) ** 2).sum(axis=1).mean())
-    labels = np.asarray(targets, dtype=int)
-    picked = out[np.arange(out.shape[0]), labels]
-    return float(-np.log(np.maximum(picked, _PROB_FLOOR)).mean())
+    return _loss_and_grad(net, _digital_output(net, x), targets)[0]
 
 
 @dataclass
@@ -223,8 +237,6 @@ def backward(net: Network, x, targets):
     Steepness constants are fixed, so they get no gradient entry.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    batch = x.shape[0]
-
     analog_cache = []
     z = _dense_forward(net.analog, x, analog_cache)
     qz = net.quantizer
@@ -233,19 +245,7 @@ def backward(net: Network, x, targets):
     digital_cache = []
     out = _dense_forward(net.digital, q, digital_cache)
 
-    if net.head == "estimation":
-        targets = np.atleast_2d(np.asarray(targets, dtype=float))
-        diff = out - targets
-        value = float((diff ** 2).sum(axis=1).mean())
-        grad = 2.0 * diff / batch
-    else:
-        labels = np.asarray(targets, dtype=int)
-        probs = _softmax(out)
-        picked = probs[np.arange(batch), labels]
-        value = float(-np.log(np.maximum(picked, _PROB_FLOOR)).mean())
-        grad = probs.copy()
-        grad[np.arange(batch), labels] -= 1.0
-        grad /= batch
+    value, grad = _loss_and_grad(net, out, targets)
 
     def dense_backward(layers, cache, upstream):
         grads = [None] * len(layers)
@@ -271,15 +271,32 @@ def backward(net: Network, x, targets):
 
 
 @dataclass
-class TrainConfig:
+class TrainSettings:
+    """Every deep-quantizer knob, with its default; the `[train]` section."""
+
+    epochs: int = 30
     learning_rate: float = 0.01
     batch_size: int = 128
-    epochs: int = 40
-    seed: int = 0
+    train_size: int = 2 ** 15
+    test_size: int = 2 ** 10
+    hidden_analog: tuple = ()
+    hidden_digital: tuple = ()
+    support_scale: float = 4.0
+    steepness: float = 50.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("learning_rate, batch_size, epochs must be positive")
+        for key in ("learning_rate", "support_scale", "steepness"):
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"[train] {key}: must be finite and positive")
+        for key in ("epochs", "batch_size", "train_size", "test_size"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"[train] {key}: must be >= 1")
+        for key in ("hidden_analog", "hidden_digital"):
+            widths = getattr(self, key)
+            if not all(float(w).is_integer() and w >= 1 for w in widths):
+                raise ConfigError(f"[train] {key}: widths must be whole "
+                                  f"numbers >= 1")
+            setattr(self, key, tuple(int(w) for w in widths))
 
 
 def _parameter_steps(net: Network, grads: Gradients):
@@ -293,30 +310,31 @@ def _parameter_steps(net: Network, grads: Gradients):
     yield net.quantizer.shifts, grads.quant_shifts
 
 
-def train(net: Network, x, targets, config: TrainConfig) -> list:
-    """Plain SGD over shuffled mini-batches; deterministic for a fixed seed.
+def train(net: Network, x, targets, settings: TrainSettings, seed: int) -> list:
+    """Plain SGD over shuffled mini-batches, with the epochs, learning rate
+    and batch size of `settings`; deterministic for a fixed seed.
 
     Returns the per-epoch mean training loss. Aborts if the loss leaves the
     finite range.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    count = x.shape[0]
-    if count < config.batch_size:
+    count, batch = x.shape[0], settings.batch_size
+    if count < batch:
         raise ValueError(f"dataset of {count} samples is smaller than one batch")
     targets = np.asarray(targets)
-    rng = np.random.default_rng(config.seed)
-    lr = config.learning_rate
+    rng = np.random.default_rng(seed)
+    lr = settings.learning_rate
     history = []
-    for epoch in range(config.epochs):
+    for epoch in range(settings.epochs):
         order = rng.permutation(count)
         epoch_losses = []
-        for start in range(0, count, config.batch_size):
-            pick = order[start:start + config.batch_size]
+        for start in range(0, count, batch):
+            pick = order[start:start + batch]
             with np.errstate(over="ignore", invalid="ignore"):
                 value, grads = backward(net, x[pick], targets[pick])
             if not np.isfinite(value):
                 raise TrainingDiverged(
-                    f"loss became {value} at epoch {epoch}, step {start // config.batch_size}")
+                    f"loss became {value} at epoch {epoch}, step {start // batch}")
             epoch_losses.append(value)
             for param, grad in _parameter_steps(net, grads):
                 grad *= lr          # the gradient arrays are this step's own
@@ -371,58 +389,37 @@ def glorot_init(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarr
 
 
 def _uniform_soft_quantizer(channels: int, levels: int, support: float,
-                            steepness_scale: float = 50.0) -> SoftQuantizer:
+                            steepness: float) -> SoftQuantizer:
     """Soft activation matching a mid-rise uniform quantizer at initialization.
 
     Steepness is specified on the unit-scaled range: the tanh transitions span
-    about 2/steepness_scale of the (-1, 1) interval regardless of support.
+    about 2/steepness of the (-1, 1) interval regardless of support.
     """
     spec = UniformQuantizerSpec(levels=levels, support=support)
     interior = -support + spec.spacing * np.arange(1, levels)
-    c = steepness_scale / support
+    c = steepness / support
     outer = np.full((channels, levels - 1), spec.spacing / 2.0)
     steep = np.full((channels, levels - 1), c)
     shifts = np.tile(interior * c, (channels, 1))
     return SoftQuantizer(outer=outer, shifts=shifts, steepness=steep)
 
 
-def _build_dense(rng, dims, hidden_activation="tanh", final_activation="identity"):
-    layers = []
-    for i in range(len(dims) - 1):
-        act = final_activation if i == len(dims) - 2 else hidden_activation
-        layers.append(DenseLayer(weights=glorot_init(rng, dims[i + 1], dims[i]),
-                                 bias=np.zeros(dims[i + 1]), activation=act))
-    return layers
+def _build_dense(rng, dims):
+    """Dense layers through the widths `dims`: tanh, then identity last."""
+    return [DenseLayer(glorot_init(rng, d_out, d_in), np.zeros(d_out),
+                       "identity" if i == len(dims) - 2 else "tanh")
+            for i, (d_in, d_out) in enumerate(zip(dims, dims[1:]))]
 
 
-def _calibrated_support(analog_layers, x_calib, support_scale):
-    z = _dense_forward(analog_layers, np.atleast_2d(x_calib))
-    return float(support_scale * z.std(axis=0).max())
-
-
-def build_estimation_network(rng: np.random.Generator, input_dim: int,
-                             channels: int, output_dim: int, levels: int,
-                             x_calib, hidden_analog: Sequence[int] = (),
-                             hidden_digital: Sequence[int] = (),
-                             support_scale: float = 4.0,
-                             steepness_scale: float = 50.0) -> Network:
-    """Estimation network with the quantizer support calibrated on sample data."""
-    analog = _build_dense(rng, [input_dim, *hidden_analog, channels])
-    support = _calibrated_support(analog, x_calib, support_scale)
-    quant = _uniform_soft_quantizer(channels, levels, support, steepness_scale)
-    digital = _build_dense(rng, [channels, *hidden_digital, output_dim])
-    return Network(analog=analog, quantizer=quant, digital=digital,
-                   head="estimation")
-
-
-def build_classification_network(rng: np.random.Generator, input_dim: int,
-                                 channels: int, n_classes: int, levels: int,
-                                 x_calib, hidden_analog: Sequence[int] = (),
-                                 hidden_digital: Sequence[int] = (),
-                                 support_scale: float = 4.0,
-                                 steepness_scale: float = 50.0) -> Network:
-    """The estimation network over n_classes outputs with a softmax head."""
-    net = build_estimation_network(rng, input_dim, channels, n_classes, levels,
-                                   x_calib, hidden_analog, hidden_digital,
-                                   support_scale, steepness_scale)
-    return replace(net, head="classification")
+def build_network(rng: np.random.Generator, input_dim: int, channels: int,
+                  outputs: int, levels: int, x_calib, settings: TrainSettings,
+                  head: str = "estimation") -> Network:
+    """Network with `outputs` estimates or class logits (`head`), its hidden
+    widths from `settings` and its quantizer support `settings.support_scale`
+    times the largest analog output std on the sample data `x_calib`."""
+    analog = _build_dense(rng, [input_dim, *settings.hidden_analog, channels])
+    z = _dense_forward(analog, np.atleast_2d(x_calib))
+    support = float(settings.support_scale * z.std(axis=0).max())
+    quant = _uniform_soft_quantizer(channels, levels, support, settings.steepness)
+    digital = _build_dense(rng, [channels, *settings.hidden_digital, outputs])
+    return Network(analog=analog, quantizer=quant, digital=digital, head=head)

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import deep, scenarios
 from .bounds import SpectrumBound, indirect_drf
+from .deep import TrainSettings
 from .errors import ConfigError
 from .linear_task import (QuantizerDesign, design, estimate,
                           fixed_combiner_design, recommend_quantizers)
@@ -88,33 +89,6 @@ def derive_seed(root: int, *keys) -> int:
 
 def stream(root: int, *keys) -> np.random.Generator:
     return np.random.default_rng(derive_seed(root, *keys))
-
-
-@dataclass
-class TrainSettings:
-    epochs: int = 30
-    learning_rate: float = 0.01
-    batch_size: int = 128
-    train_size: int = 2 ** 15
-    test_size: int = 2 ** 10
-    hidden_analog: tuple = ()
-    hidden_digital: tuple = ()
-    support_scale: float = 4.0
-    steepness: float = 50.0
-
-    def __post_init__(self):
-        for key in ("learning_rate", "support_scale", "steepness"):
-            if not 0.0 < getattr(self, key) < math.inf:
-                raise ConfigError(f"[train] {key}: must be finite and positive")
-        for key in ("epochs", "batch_size", "train_size", "test_size"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"[train] {key}: must be >= 1")
-        for key in ("hidden_analog", "hidden_digital"):
-            widths = getattr(self, key)
-            if not all(float(w).is_integer() and w >= 1 for w in widths):
-                raise ConfigError(f"[train] {key}: widths must be whole "
-                                  f"numbers >= 1")
-            setattr(self, key, tuple(int(w) for w in widths))
 
 
 @dataclass
@@ -539,7 +513,7 @@ def _snr_row(config: ExperimentConfig, snr_db: float, seed: int) -> ResultRow:
             point, config.trials, seed)
     elif config.method == "deep":
         result = train_deep_classifier(point, bits, settings=config.train,
-                                       seed=seed)
+                                       seed=seed, channels=config.channels)
         hardened = result["hardened"]
         row = simulate_ber(lambda x: deep.classify(hardened, x), point,
                            config.trials, derive_seed(seed, "eval"))
@@ -556,22 +530,13 @@ def _train_and_harden(scenario, total_bits: float, p: int, head: str,
     levels = levels_for(total_bits, p)
     targets, obs = scenario.train_sampler(stream(seed, "train-data"),
                                           settings.train_size)
+    outputs = scenario.k
     if head == "classification":
         targets = scenarios.symbols_to_labels(targets)
-        build = deep.build_classification_network
         outputs = scenario.symbols.shape[0]
-    else:
-        build, outputs = deep.build_estimation_network, scenario.k
-    net = build(stream(seed, "init"), scenario.n, p, outputs, levels, obs,
-                hidden_analog=settings.hidden_analog,
-                hidden_digital=settings.hidden_digital,
-                support_scale=settings.support_scale,
-                steepness_scale=settings.steepness)
-    cfg = deep.TrainConfig(learning_rate=settings.learning_rate,
-                           batch_size=settings.batch_size,
-                           epochs=settings.epochs,
-                           seed=derive_seed(seed, "sgd"))
-    history = deep.train(net, obs, targets, cfg)
+    net = deep.build_network(stream(seed, "init"), scenario.n, p, outputs,
+                             levels, obs, settings, head=head)
+    history = deep.train(net, obs, targets, settings, derive_seed(seed, "sgd"))
     return {"net": net, "hardened": deep.harden(net), "history": history,
             "levels": levels, "channels": p}
 
@@ -592,13 +557,14 @@ def train_deep_estimator(scenario, total_bits: float, channels: Optional[int],
 
 
 def train_deep_classifier(scenario, total_bits: float,
-                          settings: TrainSettings, seed: int) -> dict:
-    """Train and harden a deep symbol classifier at a bit budget."""
-    rate = total_bits / scenario.n
-    p = int(math.floor(scenario.k * rate))
-    if p < 1:
-        raise ConfigError(f"rate {rate:g} leaves no quantizers")
-    return _train_and_harden(scenario, total_bits, p, "classification",
+                          settings: TrainSettings, seed: int,
+                          channels: Optional[int] = None) -> dict:
+    """Train and harden a deep symbol classifier at a bit budget, over
+    `channels` quantizers or, unset, floor(k * bits / n) of them."""
+    channels = channels or int(math.floor(scenario.k * total_bits / scenario.n))
+    if channels < 1:
+        raise ConfigError(f"rate {total_bits / scenario.n:g} leaves no quantizers")
+    return _train_and_harden(scenario, total_bits, channels, "classification",
                              settings, seed)
 
 

@@ -185,15 +185,14 @@ def test_criterion_07_gradient_correctness():
         n, p, k = 6, 3, 2
         x = rng.standard_normal((8, n))
         steep = float(rng.uniform(1.0, 8.0))
+        settings = deep.TrainSettings(hidden_analog=(5,), hidden_digital=(4,),
+                                      steepness=steep)
         if head == "estimation":
-            net = deep.build_estimation_network(
-                rng, n, p, k, 4, x, hidden_analog=(5,), hidden_digital=(4,),
-                steepness_scale=steep)
+            net = deep.build_network(rng, n, p, k, 4, x, settings)
             targets = rng.standard_normal((8, k))
         else:
-            net = deep.build_classification_network(
-                rng, n, p, 4, 4, x, hidden_analog=(5,), hidden_digital=(4,),
-                steepness_scale=steep)
+            net = deep.build_network(rng, n, p, 4, 4, x, settings,
+                                     head="classification")
             targets = rng.integers(0, 4, size=8)
         _, grads = deep.backward(net, x, targets)
         flat_layers = net.analog + net.digital

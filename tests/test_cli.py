@@ -11,6 +11,7 @@ import pytest
 
 from taskquant import cli, harness, scenarios
 from taskquant.errors import ConfigError
+from taskquant.hardware import PhaseOnly, constrained_design
 
 ISI_CFG = """
 [scenario]
@@ -322,6 +323,83 @@ def test_design_and_simulate_spend_the_same_budget(tmp_path, capsys):
     assert cli.main(["simulate", "--config", str(path), "--trials", "50"]) == 0
     axis = float(capsys.readouterr().out.splitlines()[1].split(",")[0])
     assert harness.levels_for(axis, 8) == 8
+
+
+def test_design_builds_the_configured_method(tmp_path, capsys):
+    # the phase-only design that the sweep row at 24 bits runs, not the
+    # unconstrained task_based one (support 1.4771, excess 0.565176)
+    text = ISI_CFG.replace("levels = 16", "constraint = phase_only").replace(
+        "method = task_based", "method = constrained").replace(
+        "dither = true", "rate_bits = 24")
+    path = tmp_path / "phase.cfg"
+    path.write_text(text)
+    assert cli.main(["design", "--config", str(path)]) == 0
+    printed = capsys.readouterr().out
+    want = constrained_design(scenarios.isi_scenario().model, PhaseOnly(), 8, 8,
+                              4.0)
+    assert f" support={want.quantizer.support:.6g} " in printed
+    assert f" predicted_excess_mse={want.predicted_excess_mse:.6g}" in printed
+    assert " support=1111.13 " in printed
+    assert printed.rstrip().endswith(" predicted_excess_mse=2.87691")
+
+
+@pytest.mark.parametrize("scenario, method", [
+    ("isi", "deep"), ("isi", "map"), ("covariance", "digital_only"),
+    ("covariance", "mmse_then_quantize")])
+def test_design_without_a_combiner_exits_one(tmp_path, capsys, scenario,
+                                             method):
+    text = ISI_CFG.replace("name = isi", f"name = {scenario}").replace(
+        "method = task_based", f"method = {method}")
+    path = tmp_path / "nodesign.cfg"
+    path.write_text(text)
+    out = tmp_path / "design.tbq"
+    assert cli.main(["design", "--config", str(path),
+                     "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: [sweep] method")
+    assert method in err[0]
+
+
+def test_bpsk_deep_takes_the_configured_channels(tmp_path, capsys,
+                                                 monkeypatch):
+    text = """
+[scenario]
+name = bpsk
+snr_db = 10
+
+[design]
+channels = 2
+
+[sweep]
+axis = snr_db
+grid = 10
+method = deep
+trials = 200
+rate_bits = 12
+
+[train]
+epochs = 1
+train_size = 256
+"""
+    path = tmp_path / "bpsk.cfg"
+    path.write_text(text)
+    assert cli.main(["train", "--config", str(path)]) == 0
+    assert "channels=2 " in capsys.readouterr().out
+
+    counts = []
+    train_and_harden = harness._train_and_harden
+
+    def spy(scenario, bits, p, *args):
+        counts.append(p)
+        return train_and_harden(scenario, bits, p, *args)
+
+    monkeypatch.setattr(harness, "_train_and_harden", spy)
+    for config in (text, text.replace("channels = 2", "")):
+        path.write_text(config)
+        assert cli.main(["sweep", "--config", str(path)]) == 0
+    assert counts == [2, 4]      # unset: floor(k * rate) quantizers
 
 
 def test_one_point_commands_follow_the_support_scale_schedule(tmp_path,

@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 from taskquant import deep
-from taskquant.errors import TrainingDiverged
+from taskquant.errors import ConfigError, TrainingDiverged
 from taskquant.linear_task import LinearTaskModel, design
 
 
 def small_net(rng, head="estimation", n=6, p=3, k=2, levels=4,
               hidden_analog=(5,), hidden_digital=(4,), steepness=6.0):
     x = rng.standard_normal((32, n))
-    if head == "estimation":
-        return deep.build_estimation_network(
-            rng, n, p, k, levels, x, hidden_analog=hidden_analog,
-            hidden_digital=hidden_digital, steepness_scale=steepness), x
-    return deep.build_classification_network(
-        rng, n, p, 2 ** k, levels, x, hidden_analog=hidden_analog,
-        hidden_digital=hidden_digital, steepness_scale=steepness), x
+    settings = deep.TrainSettings(hidden_analog=hidden_analog,
+                                  hidden_digital=hidden_digital,
+                                  steepness=steepness)
+    outputs = k if head == "estimation" else 2 ** k
+    return deep.build_network(rng, n, p, outputs, levels, x, settings,
+                              head=head), x
 
 
 def flatten_params(net):
@@ -197,12 +196,12 @@ def test_training_reduces_loss_and_is_deterministic():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((256, 6))
     s = x @ rng.standard_normal((6, 2))
-    cfg = deep.TrainConfig(learning_rate=0.02, batch_size=32, epochs=15, seed=3)
+    cfg = deep.TrainSettings(learning_rate=0.02, batch_size=32, epochs=15)
 
     def run():
         net, _ = small_net(np.random.default_rng(42), hidden_analog=(),
                            hidden_digital=(), steepness=20.0)
-        history = deep.train(net, x, s, cfg)
+        history = deep.train(net, x, s, cfg, 3)
         return net, history
 
     net1, hist1 = run()
@@ -222,8 +221,8 @@ def test_training_memorizes_repeated_sample():
     s = np.tile(rng.standard_normal(2), (64, 1))
     net, _ = small_net(np.random.default_rng(9), hidden_analog=(),
                        hidden_digital=(), steepness=20.0)
-    cfg = deep.TrainConfig(learning_rate=0.05, batch_size=16, epochs=60, seed=1)
-    history = deep.train(net, x, s, cfg)
+    cfg = deep.TrainSettings(learning_rate=0.05, batch_size=16, epochs=60)
+    history = deep.train(net, x, s, cfg, 1)
     assert history[-1] < 1e-3
 
 
@@ -235,9 +234,8 @@ def test_training_seed_stability():
     for seed in (1, 2):
         net, _ = small_net(np.random.default_rng(50 + seed), hidden_analog=(),
                            hidden_digital=(), steepness=20.0)
-        cfg = deep.TrainConfig(learning_rate=0.02, batch_size=64, epochs=40,
-                               seed=seed)
-        losses.append(deep.train(net, x, s, cfg)[-1])
+        cfg = deep.TrainSettings(learning_rate=0.02, batch_size=64, epochs=40)
+        losses.append(deep.train(net, x, s, cfg, seed)[-1])
     assert abs(losses[0] - losses[1]) < 0.1 * max(losses)
 
 
@@ -247,9 +245,9 @@ def test_training_divergence_aborts():
     s = 10.0 * rng.standard_normal((128, 2))
     net, _ = small_net(np.random.default_rng(12), hidden_analog=(),
                        hidden_digital=())
-    cfg = deep.TrainConfig(learning_rate=1e6, batch_size=32, epochs=5, seed=1)
+    cfg = deep.TrainSettings(learning_rate=1e6, batch_size=32, epochs=5)
     with pytest.raises(TrainingDiverged):
-        deep.train(net, x, s, cfg)
+        deep.train(net, x, s, cfg, 1)
 
 
 def test_trained_linear_net_approaches_closed_form():
@@ -267,11 +265,10 @@ def test_trained_linear_net_approaches_closed_form():
 
     s = rng.standard_normal((6000, k))
     x = s @ mixing.T + np.sqrt(noise_var) * rng.standard_normal((6000, n))
-    net = deep.build_estimation_network(np.random.default_rng(14), n, p, k,
-                                        levels, x, support_scale=3.0,
-                                        steepness_scale=50.0)
-    cfg = deep.TrainConfig(learning_rate=0.01, batch_size=64, epochs=60, seed=2)
-    deep.train(net, x, s, cfg)
+    cfg = deep.TrainSettings(learning_rate=0.01, batch_size=64, epochs=60,
+                             support_scale=3.0, steepness=50.0)
+    net = deep.build_network(np.random.default_rng(14), n, p, k, levels, x, cfg)
+    deep.train(net, x, s, cfg, 2)
     hard = deep.harden(net)
     s_test = rng.standard_normal((4000, k))
     x_test = s_test @ mixing.T + np.sqrt(noise_var) * rng.standard_normal((4000, n))
@@ -360,12 +357,23 @@ def test_classify_examples():
     assert probe([0.0, 0.0]) == 0      # tie resolves to the lowest index
 
 
+@pytest.mark.parametrize("head", ["estimation", "classification"])
+def test_forward_and_loss_reject_wrong_input_width(head):
+    net, x = small_net(np.random.default_rng(22), head=head)
+    wide = np.hstack([x, x[:, :1]])
+    targets = np.zeros((32, 2)) if head == "estimation" else np.zeros(32, int)
+    with pytest.raises(ValueError, match="input dimension 7"):
+        deep.forward(net, wide)
+    with pytest.raises(ValueError, match="input dimension 7"):
+        deep.loss(net, wide, targets)
+
+
 def test_dataset_smaller_than_batch_rejected():
     rng = np.random.default_rng(18)
     net, _ = small_net(rng)
     with pytest.raises(ValueError):
         deep.train(net, np.zeros((4, 6)), np.zeros((4, 2)),
-                   deep.TrainConfig(batch_size=8, epochs=1))
+                   deep.TrainSettings(batch_size=8, epochs=1), 0)
 
 
 def test_train_keeps_steepness_fixed():
@@ -375,11 +383,11 @@ def test_train_keeps_steepness_fixed():
     net, _ = small_net(np.random.default_rng(20), hidden_analog=(),
                        hidden_digital=(), steepness=10.0)
     base = net.quantizer.steepness.copy()
-    cfg = deep.TrainConfig(learning_rate=1e-4, batch_size=32, epochs=3, seed=1)
-    deep.train(net, x, s, cfg)
+    cfg = deep.TrainSettings(learning_rate=1e-4, batch_size=32, epochs=3)
+    deep.train(net, x, s, cfg, 1)
     np.testing.assert_array_equal(net.quantizer.steepness, base)
-    with pytest.raises(ValueError):
-        deep.TrainConfig(learning_rate=-1.0)
+    with pytest.raises(ConfigError):
+        deep.TrainSettings(learning_rate=-1.0)
 
 
 def reference_backward(net, x, targets):
@@ -472,7 +480,8 @@ def test_backward_memory_stays_near_one_tanh_tensor():
     rng = np.random.default_rng(21)
     batch, channels, levels = 128, 40, 64
     x = rng.standard_normal((batch, 80))
-    net = deep.build_estimation_network(rng, 80, channels, 16, levels, x)
+    net = deep.build_network(rng, 80, channels, 16, levels, x,
+                             deep.TrainSettings())
     targets = rng.standard_normal((batch, 16))
     deep.backward(net, x, targets)
     tracemalloc.start()

@@ -246,8 +246,8 @@ def test_model_file_round_trip(tmp_path):
     from taskquant import deep
     rng = np.random.default_rng(0)
     x = rng.standard_normal((32, 6))
-    net = deep.build_estimation_network(rng, 6, 3, 2, 4, x,
-                                        hidden_analog=(5,))
+    net = deep.build_network(rng, 6, 3, 2, 4, x,
+                             deep.TrainSettings(hidden_analog=(5,)))
     path = tmp_path / "model.tbq"
     io.save_model(path, net)
     loaded = io.load_model(path)

@@ -21,9 +21,8 @@ def _design_bytes(path):
 
 def _model_bytes(path):
     rng = np.random.default_rng(4)
-    net = deep.build_estimation_network(rng, 5, 2, 2, 4,
-                                        rng.standard_normal((16, 5)),
-                                        hidden_analog=(3,))
+    net = deep.build_network(rng, 5, 2, 2, 4, rng.standard_normal((16, 5)),
+                             deep.TrainSettings(hidden_analog=(3,)))
     io.save_model(path, net)
     return path.read_bytes()
 
