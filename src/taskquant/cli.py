@@ -72,10 +72,10 @@ def _design_for_config(cfg: harness.ExperimentConfig):
 def _cmd_design(args) -> int:
     cfg = _load(args)
     scenario, des = _design_for_config(cfg)
+    waterline = "" if np.isnan(des.waterline) else f"waterline={des.waterline:.6g} "
     print(f"scenario={scenario.name} channels={des.channels} "
           f"levels={des.quantizer.levels} support={des.quantizer.support:.6g} "
-          f"waterline={des.waterline:.6g} "
-          f"predicted_excess_mse={des.predicted_excess_mse:.6g}")
+          f"{waterline}predicted_excess_mse={des.predicted_excess_mse:.6g}")
     if cfg.output:
         io.save_design(cfg.output, des)
         print(f"design written to {cfg.output}")

@@ -166,10 +166,6 @@ class Network:
     def input_dim(self) -> int:
         return self.analog[0].weights.shape[1]
 
-    @property
-    def output_dim(self) -> int:
-        return self.digital[-1].weights.shape[0]
-
 
 def _softmax(logits):
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))

@@ -95,12 +95,17 @@ def _check_finite(z):
     return z
 
 
-def _to_midpoints(buf, spec: UniformQuantizerSpec):
-    """Replace each entry of the float array `buf` by its cell's midpoint."""
+def _to_cells(buf, spec: UniformQuantizerSpec):
+    """Replace each entry of the float array `buf` by its cell's index."""
     buf += spec.support
     buf /= spec.spacing
     np.floor(buf, out=buf)
-    np.clip(buf, 0, spec.levels - 1, out=buf)
+    return np.clip(buf, 0, spec.levels - 1, out=buf)
+
+
+def _to_midpoints(buf, spec: UniformQuantizerSpec):
+    """Replace each entry of the float array `buf` by its cell's midpoint."""
+    _to_cells(buf, spec)
     buf += 0.5
     buf *= spec.spacing
     buf -= spec.support

@@ -19,7 +19,7 @@ from scipy.special import ndtr
 from .bounds import gaussian_mmse
 from .linear_task import LinearTaskModel
 from .quadratic_task import LiftedTaskModel, QuadraticTask, to_linear_model
-from .quant import UniformQuantizerSpec
+from .quant import UniformQuantizerSpec, _check_finite, _to_cells
 
 __all__ = [
     "ScenarioSpec",
@@ -217,15 +217,11 @@ def _symbol_table(k: int) -> np.ndarray:
 def symbols_to_labels(symbols) -> np.ndarray:
     """Class index of each +-1 symbol vector (bit b_j = (s_j + 1) / 2, MSB first)."""
     s = np.atleast_2d(np.asarray(symbols))
-    bits = ((s + 1) / 2).astype(int)
-    k = s.shape[1]
-    weights = 2 ** np.arange(k - 1, -1, -1)
-    return bits @ weights
+    return ((s + 1) / 2).astype(int) @ 2 ** np.arange(s.shape[1] - 1, -1, -1)
 
 
 def labels_to_symbols(labels, k: int) -> np.ndarray:
-    table = _symbol_table(k)
-    return table[np.asarray(labels, dtype=int)]
+    return _symbol_table(k)[np.asarray(labels, dtype=int)]
 
 
 def bit_errors(predicted_labels, true_labels, k: int) -> np.ndarray:
@@ -264,38 +260,40 @@ def bpsk_scenario(snr: float) -> ScenarioSpec:
 
 
 def map_detect(observations, scenario: ScenarioSpec) -> np.ndarray:
-    """Exhaustive max-likelihood labels from unquantized observations."""
-    x = np.atleast_2d(np.asarray(observations, dtype=float))
+    """Exhaustive max-likelihood labels from unquantized observations.
+
+    Hypothesis u with class mean m_u = H s_u scores x . 2 m_u - ||m_u||^2
+    (-||x - m_u||^2 up to the shared ||x||^2): one (count x n) @ (n x classes)
+    product. Non-finite observations raise ValueError."""
+    x = np.atleast_2d(_check_finite(observations))
     means = scenario.symbols @ scenario.mixing.T          # classes x n
-    d2 = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1)
+    scores = x @ (2.0 * means.T) - np.einsum("un,un->u", means, means)
+    return np.argmax(scores, axis=1)
 
 
 def quantized_map_detect(observations, scenario: ScenarioSpec, levels: int,
                          support: float) -> np.ndarray:
-    """Exhaustive max-likelihood labels from per-antenna uniform quantizer cells.
+    """Exhaustive max-likelihood labels from per-antenna uniform quantizer cells:
+    the true task-ignorant detector for a digital-only receiver.
 
-    Uses the exact Gaussian cell probabilities (outer cells absorb the
-    saturated tails), so this is the true task-ignorant detector for a
-    digital-only receiver.
-    """
-    x = np.atleast_2d(np.asarray(observations, dtype=float))
-    sigma = np.sqrt(scenario.noise_var)
-    spacing = UniformQuantizerSpec(levels, support).spacing
-    edges = -support + spacing * np.arange(1, levels)      # interior edges
-    cells = np.searchsorted(edges, x, side="right")
-    means = scenario.symbols @ scenario.mixing.T           # classes x n
-    # cell probability per (class, antenna): differences of normal CDFs,
-    # with the outer cells absorbing the saturated tails
-    hi = np.concatenate([edges, [np.inf]])
-    lo = np.concatenate([[-np.inf], edges])
-    prob = (ndtr((hi[None, None, :] - means[:, :, None]) / sigma)
-            - ndtr((lo[None, None, :] - means[:, :, None]) / sigma))
-    logp = np.log(np.maximum(prob, 1e-300))
-    loglik = np.zeros((x.shape[0], means.shape[0]))
-    for ant in range(x.shape[1]):
-        loglik += logp[:, ant, cells[:, ant]].T
-    return np.argmax(loglik, axis=1)
+    Cells follow the ADC's own rule. Hypothesis u scores the sum over antennas
+    of log P(cell | m_u), from exact Gaussian cell probabilities (outer cells
+    absorb the saturated tails): one product of a sparse (count x n L) cell
+    indicator, one entry per antenna, with the (n L x classes) table of log
+    cell probabilities. Non-finite observations raise ValueError."""
+    from scipy.sparse import csr_array  # as costly to import as the package
+    spec = UniformQuantizerSpec(levels, support)
+    x = np.atleast_2d(_check_finite(np.array(observations, dtype=float)))
+    count, n = x.shape
+    edges = -support + spec.spacing * np.arange(1, levels)   # interior edges
+    bounds = np.concatenate([[-np.inf], edges, [np.inf]])[None, :, None]
+    means = (scenario.symbols @ scenario.mixing.T).T[:, None, :]  # n x 1 x classes
+    cdf = ndtr((bounds - means) / np.sqrt(scenario.noise_var))
+    table = np.log(np.maximum(cdf[:, 1:] - cdf[:, :-1], 1e-300))
+    rows = _to_cells(x, spec).astype(np.intp) + levels * np.arange(n)
+    indicator = csr_array((np.ones(count * n), rows.ravel(), np.arange(0, count * n + 1, n)),
+                          shape=(count, n * levels))
+    return np.argmax(indicator @ table.reshape(-1, table.shape[2]), axis=1)
 
 
 def csi_perturb(scenario: ScenarioSpec, fraction: float, seed: int) -> ScenarioSpec:

@@ -343,6 +343,24 @@ def test_design_builds_the_configured_method(tmp_path, capsys):
     assert printed.rstrip().endswith(" predicted_excess_mse=2.87691")
 
 
+@pytest.mark.parametrize("method, bits, line", [
+    ("task_based", 24, "scenario=isi channels=8 levels=8 support=1.4771 "
+     "waterline=9.59201 predicted_excess_mse=0.565176"),
+    ("mmse_then_quantize", 24, "scenario=isi channels=8 levels=8 "
+     "support=3.52021 predicted_excess_mse=0.666328"),
+    ("digital_only", 240, "scenario=isi channels=120 levels=4 "
+     "support=19.7547 predicted_excess_mse=2.14771")])
+def test_design_prints_a_waterline_only_when_the_design_has_one(
+        tmp_path, capsys, method, bits, line):
+    # fixed-combiner designs carry no waterline, so the field is left out
+    text = ISI_CFG.replace("method = task_based", f"method = {method}").replace(
+        "dither = true", f"rate_bits = {bits}")
+    path = tmp_path / "waterline.cfg"
+    path.write_text(text)
+    assert cli.main(["design", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == line + "\n"
+
+
 @pytest.mark.parametrize("scenario, method", [
     ("isi", "deep"), ("isi", "map"), ("covariance", "digital_only"),
     ("covariance", "mmse_then_quantize")])

@@ -1,11 +1,53 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from taskquant import scenarios
+from taskquant.harness import feasible_support_scale, simulate_ber
 from taskquant.linear_task import design, recommend_quantizers
+from taskquant.quant import UniformQuantizerSpec
 
 # exhaustive-MAP bit error rate at 10 dB, seed-pinned; regression anchor
 MAP_BER_10DB_ANCHOR = 0.0009875
+# quantized-MAP bit error rate at 10 dB, 4 levels, support 4 std; same seed
+QUANTIZED_MAP_BER_10DB_ANCHOR = 0.037725
+
+
+def reference_map_distances(x, sc):
+    """Squared distance of each observation to each class mean, by broadcast."""
+    means = sc.symbols @ sc.mixing.T
+    return ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+
+
+def reference_map_detect(x, sc):
+    return np.argmin(reference_map_distances(x, sc), axis=1)
+
+
+def reference_quantized_map_detect(x, sc, levels, support):
+    """Cells by binary search on the interior edges; log-likelihoods summed
+    antenna by antenna through strided gathers."""
+    sigma = np.sqrt(sc.noise_var)
+    spacing = UniformQuantizerSpec(levels, support).spacing
+    edges = -support + spacing * np.arange(1, levels)
+    cells = np.searchsorted(edges, x, side="right")
+    means = sc.symbols @ sc.mixing.T
+    hi = np.concatenate([edges, [np.inf]])
+    lo = np.concatenate([[-np.inf], edges])
+    prob = (ndtr((hi[None, None, :] - means[:, :, None]) / sigma)
+            - ndtr((lo[None, None, :] - means[:, :, None]) / sigma))
+    logp = np.log(np.maximum(prob, 1e-300))
+    loglik = np.zeros((x.shape[0], means.shape[0]))
+    for ant in range(x.shape[1]):
+        loglik += logp[:, ant, cells[:, ant]].T
+    return np.argmax(loglik, axis=1)
+
+
+def _support(sc, levels):
+    # the harness's quantized_map support: 4 std of the strongest antenna
+    std = np.sqrt(np.diag(sc.mixing @ sc.mixing.T) + sc.noise_var)
+    return feasible_support_scale(4.0, levels) * std.max()
 
 
 def test_isi_dimensions_and_covariance():
@@ -99,6 +141,60 @@ def test_quantized_map_at_one_bit_uses_signs():
     ber_quant = scenarios.bit_error_rate(labels_a, truth, 4)
     ber_full = scenarios.bit_error_rate(scenarios.map_detect(x, sc), truth, 4)
     assert ber_full < ber_quant
+
+
+def test_quantized_map_ber_regression_anchor():
+    sc = scenarios.bpsk_scenario(10.0)
+    support = _support(sc, 4)
+    row = simulate_ber(lambda x: scenarios.quantized_map_detect(x, sc, 4, support),
+                       sc, 20000, 2024)
+    assert row.estimate == pytest.approx(QUANTIZED_MAP_BER_10DB_ANCHOR, abs=1e-12)
+
+
+@pytest.mark.parametrize("snr_db", [4.0, 8.0, 12.0])
+def test_detectors_match_reference_formulas(snr_db):
+    sc = scenarios.bpsk_scenario(10 ** (snr_db / 10))
+    _, x = sc.sampler(np.random.default_rng(int(snr_db)), 50_000)
+    chunks = np.array_split(x, 8)      # keeps the reference tensors small
+    for levels in (2, 3, 8):
+        support = _support(sc, levels)
+        want = np.concatenate([reference_quantized_map_detect(c, sc, levels, support)
+                               for c in chunks])
+        got = scenarios.quantized_map_detect(x, sc, levels, support)
+        np.testing.assert_array_equal(got, want)
+    d2 = np.concatenate([reference_map_distances(c, sc) for c in chunks])
+    best, second = np.sort(d2, axis=1)[:, :2].T
+    clear = second - best > 1e-9 * second
+    assert clear.mean() > 0.999
+    want = np.concatenate([reference_map_detect(c, sc) for c in chunks])
+    np.testing.assert_array_equal(scenarios.map_detect(x, sc)[clear], want[clear])
+
+
+@pytest.mark.parametrize("detect", [
+    pytest.param(lambda x, sc: scenarios.map_detect(x, sc), id="map"),
+    pytest.param(lambda x, sc: scenarios.quantized_map_detect(x, sc, 4, 4.0),
+                 id="quantized_map")])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_detectors_reject_non_finite_observations(detect, bad):
+    sc = scenarios.bpsk_scenario(10.0)
+    _, x = sc.sampler(np.random.default_rng(11), 8)
+    x[3, 5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        detect(x, sc)
+
+
+def test_quantized_map_detect_memory_stays_sparse():
+    # a dense (8192 x 12 * 64) one-hot cell indicator alone would take 50 MB
+    sc = scenarios.bpsk_scenario(10.0)
+    _, x = sc.sampler(np.random.default_rng(12), 8192)
+    scenarios.quantized_map_detect(x[:4], sc, 64, 4.0)   # imports outside the trace
+    tracemalloc.start()
+    try:
+        scenarios.quantized_map_detect(x, sc, 64, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_random_guessing_ber_near_half():
