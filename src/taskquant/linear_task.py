@@ -11,6 +11,7 @@ trace formula must reproduce.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,6 +101,18 @@ class LinearTaskModel:
         root = (q * np.sqrt(w)) @ q.T
         inv_root = (q / np.sqrt(w)) @ q.T
         return root, inv_root
+
+    @cached_property
+    def factors(self):
+        """(inv_root, whitened task map Gamma root, its singular values, their
+        sign-fixed right-singular rows): the (p, L)-free part of `design`,
+        computed once per model and read-only."""
+        root, inv_root = self.sqrt_pair()
+        whitened = self.task_matrix @ root
+        # the reduced SVD rounds vt differently, so designs would lose their bits
+        _, sing, vt = np.linalg.svd(whitened, full_matrices=True)
+        vt = _fix_svd_signs(vt[:sing.size])
+        return tuple(map(_frozen, (inv_root, whitened, sing, vt)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,16 +311,13 @@ def equalizing_rotation(diag_values) -> np.ndarray:
     return u
 
 
-def _fix_svd_signs(u, vt):
+def _fix_svd_signs(vt):
     """Make the first nonzero entry of each right-singular vector nonnegative."""
-    for i in range(vt.shape[0]):
-        row = vt[i]
-        nz = np.flatnonzero(np.abs(row) > 1e-12 * max(np.abs(row).max(), 1e-300))
-        if nz.size and row[nz[0]] < 0:
-            vt[i] = -row
-            if i < u.shape[1]:
-                u[:, i] = -u[:, i]
-    return u, vt
+    mag = np.abs(vt)
+    nz = mag > 1e-12 * np.maximum(mag.max(axis=1, keepdims=True), 1e-300)
+    lead = vt[np.arange(vt.shape[0]), nz.argmax(axis=1)]
+    vt[nz.any(axis=1) & (lead < 0)] *= -1.0
+    return vt
 
 
 def design(model: LinearTaskModel, channels: int, levels: int,
@@ -322,25 +332,22 @@ def design(model: LinearTaskModel, channels: int, levels: int,
     if channels < 1:
         raise ValueError(f"channels must be >= 1, got {channels}")
     support, margin = overload_safe_support(support_scale, levels, channels)
-    root, inv_root = model.sqrt_pair()
-    whitened = model.task_matrix @ root
-    u_task, sing, vt = np.linalg.svd(whitened, full_matrices=True)
-    u_task, vt = _fix_svd_signs(u_task, vt)
+    inv_root, whitened, sing, vt = model.factors
 
     gains, waterline = waterfill(sing, margin, levels, channels)
-    m = min(channels, model.n)
-    core = np.zeros((channels, model.n))
-    core[:m] = gains[:m, None] * vt[:m]
+    # modes past the rank get zero gain and a zero basis row, so the products
+    # keep the shapes, and so the rounding, they have over a full basis
+    basis = np.zeros((channels, model.n))
+    basis[:min(channels, sing.size)] = vt[:channels]
     rotation = equalizing_rotation(gains ** 2)
-    analog = rotation @ core @ inv_root
+    analog = rotation @ (gains[:, None] * basis) @ inv_root
 
     spec = UniformQuantizerSpec(levels=levels, support=support, dithered=True)
-    sigma2 = noise_variance(spec)
     # Wiener gain in the rotated water-filled coordinates: diagonal, cheap
-    wiener = np.zeros(channels)
-    wiener[:m] = gains[:m] / (gains[:m] ** 2 + sigma2)
+    wiener = gains / (gains ** 2 + noise_variance(spec))
+    wide = min(channels, model.n)
     projected = np.zeros((model.k, channels))
-    projected[:, :m] = whitened @ vt[:m].T
+    projected[:, :wide] = whitened @ basis[:wide].T
     digital = (projected * wiener) @ rotation.T
 
     served = np.maximum(waterline * sing - 1.0, 0.0)
@@ -367,8 +374,7 @@ def recommend_quantizers(model: LinearTaskModel) -> int:
 
     More quantizers than this only dilute the per-channel bit budget.
     """
-    root, _ = model.sqrt_pair()
-    sing = np.linalg.svd(model.task_matrix @ root, compute_uv=False)
+    _, _, sing, _ = model.factors
     if sing.size == 0 or sing[0] == 0:
         return 0
     return int(np.count_nonzero(sing > 1e-10 * sing[0]))

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from taskquant.errors import NumericalError
-from taskquant.linear_task import (LinearTaskModel, design, equalizing_rotation,
-                                   estimate, excess_mse, mse_with_digital,
-                                   optimal_digital, recommend_quantizers,
-                                   waterfill)
+from taskquant.hardware import PhaseOnly, constrained_design
+from taskquant.linear_task import (LinearTaskModel, _fix_svd_signs, design,
+                                   equalizing_rotation, estimate, excess_mse,
+                                   mse_with_digital, optimal_digital,
+                                   recommend_quantizers, waterfill)
 from taskquant.quant import overload_safe_support
 
 
@@ -281,6 +282,73 @@ def test_recommend_quantizers():
     gamma = np.vstack([model.task_matrix[:2], model.task_matrix[1]])
     dup = LinearTaskModel(obs_cov=model.obs_cov, task_matrix=gamma)
     assert recommend_quantizers(dup) == 2
+
+
+def reference_fix_signs(vt):
+    """The per-row loop `_fix_svd_signs` replaced."""
+    for i in range(vt.shape[0]):
+        row = vt[i]
+        nz = np.flatnonzero(np.abs(row) > 1e-12 * max(np.abs(row).max(), 1e-300))
+        if nz.size and row[nz[0]] < 0:
+            vt[i] = -row
+    return vt
+
+
+def test_fix_svd_signs_matches_reference_loop():
+    rng = np.random.default_rng(21)
+    for trial in range(200):
+        rows, cols = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        vt = rng.standard_normal((rows, cols))
+        lead = rng.integers(0, cols + 1, rows)
+        vt[np.arange(cols) < lead[:, None]] = 0.0      # leading exact zeros
+        row = rng.integers(rows)
+        if trial % 5 == 0:
+            vt[row] = 0.0                               # an all-zero row
+        if trial % 5 == 1:
+            vt[row] = -1e-320                           # below the zero floor
+        if trial % 5 == 2:
+            vt[:, 0] *= 1e-14                           # below the row's tolerance
+        if trial % 5 == 3:
+            vt[row] *= 1e-14                            # one quiet row
+        expected = reference_fix_signs(vt.copy())
+        assert _fix_svd_signs(vt.copy()).tobytes() == expected.tobytes()
+
+
+def test_design_reuses_the_model_factors():
+    rng = np.random.default_rng(22)
+    model = random_model(rng, n=12, k=4)
+    first, second = design(model, 6, 8, 3.0), design(model, 6, 8, 3.0)
+    fresh = design(LinearTaskModel(obs_cov=model.obs_cov.copy(),
+                                   task_matrix=model.task_matrix.copy()), 6, 8, 3.0)
+    for other in (second, fresh):
+        assert other.analog.tobytes() == first.analog.tobytes()
+        assert other.digital.tobytes() == first.digital.tobytes()
+        assert other.predicted_excess_mse == first.predicted_excess_mse
+
+
+def test_model_factors_are_read_only():
+    model = random_model(np.random.default_rng(23), n=7, k=3)
+    inv_root, whitened, sing, vt = model.factors
+    assert vt.shape == (3, 7) and sing.shape == (3,)
+    for array in model.factors:
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
+def test_constrained_after_design_factors_once(monkeypatch):
+    calls = []
+    original = LinearTaskModel.sqrt_pair
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinearTaskModel, "sqrt_pair", counted)
+    model = random_model(np.random.default_rng(24), n=10, k=3)
+    design(model, 3, 8, 3.0)
+    constrained_design(model, PhaseOnly(), 3, 8, 3.0)
+    recommend_quantizers(model)
+    assert len(calls) == 1
 
 
 def test_estimate_deterministic_pipeline():
