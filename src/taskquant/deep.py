@@ -61,23 +61,27 @@ class DenseLayer:
 
 
 def _tanh_terms(z, outer, shifts, steepness):
-    """The tanh terms tanh(steepness * z - shifts) in one fresh buffer, and
-    their outer-weighted sum over the last axis.
-
-    Every soft-quantizer evaluation goes through here, so the forward pass and
-    `backward` reduce the terms in the same order and agree bit for bit.
+    """tanh(steepness * z - shifts) of a (batch, channels) input in one fresh
+    channel-major (channels, levels - 1, batch) buffer, and its outer-weighted
+    sum, (batch, channels): two batched BLAS products, the first of
+    [steepness | -shifts] with [z^T ; 1]. Every soft-quantizer evaluation goes
+    through here, so the forward pass and `backward` agree bit for bit.
     """
-    t = z[..., None] * steepness
-    t -= shifts
+    aug = np.ones((outer.shape[0], 2, z.shape[0]))
+    aug[:, 0] = z.T
+    t = np.matmul(np.stack([steepness, -shifts], axis=-1), aug)
     np.tanh(t, out=t)
-    return t, np.einsum("...l,...l->...", t, outer)
+    return t, np.matmul(outer[:, None, :], t)[:, 0].T
 
 
 def soft_quantize(z, outer, shifts, steepness):
-    """Differentiable quantizer: sum_i outer_i * tanh(steepness_i * z - shifts_i)."""
-    z, outer, shifts, steepness = (np.asarray(a, dtype=float)
-                                   for a in (z, outer, shifts, steepness))
-    return _tanh_terms(z, outer, shifts, steepness)[1]
+    """Differentiable quantizer: sum_i outer_i * tanh(steepness_i * z - shifts_i),
+    z (..., channels) against (channels, levels - 1) terms, or any z against 1-D."""
+    z = np.asarray(z, dtype=float)
+    outer, shifts, steepness = (np.atleast_2d(np.asarray(a, dtype=float))
+                                for a in (outer, shifts, steepness))
+    q = _tanh_terms(z.reshape(-1, outer.shape[0]), outer, shifts, steepness)[1]
+    return q.reshape(z.shape)
 
 
 @dataclass
@@ -236,7 +240,7 @@ def backward(net: Network, x, targets):
     analog_cache = []
     z = _dense_forward(net.analog, x, analog_cache)
     qz = net.quantizer
-    # t is the one (batch, channels, levels - 1) buffer; it later holds sech^2
+    # t is the one (channels, levels - 1, batch) buffer; it later holds sech^2
     t, q = _tanh_terms(z, qz.outer, qz.shifts, qz.steepness)
     digital_cache = []
     out = _dense_forward(net.digital, q, digital_cache)
@@ -255,11 +259,12 @@ def backward(net: Network, x, targets):
         return grads, upstream
 
     digital_grads, dq = dense_backward(net.digital, digital_cache, grad)
-    d_outer = np.einsum("bc,bcl->cl", dq, t)
+    dq_col = dq.T[:, :, None]
+    d_outer = np.matmul(t, dq_col)[:, :, 0]
     t *= t
     sech2 = np.subtract(1.0, t, out=t)
-    d_shifts = -qz.outer * np.einsum("bc,bcl->cl", dq, sech2)
-    dz = dq * np.einsum("bcl,cl->bc", sech2, qz.outer * qz.steepness)
+    d_shifts = -qz.outer * np.matmul(sech2, dq_col)[:, :, 0]
+    dz = dq * np.matmul((qz.outer * qz.steepness)[:, None, :], sech2)[:, 0].T
     analog_grads, _ = dense_backward(net.analog, analog_cache, dz)
 
     return value, Gradients(analog=analog_grads, quant_outer=d_outer,

@@ -31,7 +31,6 @@ __all__ = [
     "symbols_to_labels",
     "labels_to_symbols",
     "bit_errors",
-    "bit_error_rate",
 ]
 
 
@@ -46,7 +45,6 @@ class ScenarioSpec:
                                     # return (E[s | A x], A x, residual MSE)
     model: Optional[LinearTaskModel] = None
     train_sampler: Optional[Callable] = None
-    analytic_gamma: Optional[np.ndarray] = None
     analytic_mmse: Optional[float] = None
     task: Optional[QuadraticTask] = None
     lifted: Optional[LiftedTaskModel] = None
@@ -142,8 +140,8 @@ def _linear_gaussian(name: str, mixing, cov_s, noise_var: float) -> ScenarioSpec
 
     return ScenarioSpec(name=name, kind="linear", model=model,
                         sampler=_mixing_sampler(draw_tasks, mixing, noise_var, cov_s),
-                        analytic_gamma=gamma, analytic_mmse=mmse, mixing=mixing,
-                        noise_var=noise_var, prior_cov=cov_s, draw_tasks=draw_tasks)
+                        analytic_mmse=mmse, mixing=mixing, noise_var=noise_var,
+                        prior_cov=cov_s, draw_tasks=draw_tasks)
 
 
 def isi_scenario() -> ScenarioSpec:
@@ -229,11 +227,6 @@ def bit_errors(predicted_labels, true_labels, k: int) -> np.ndarray:
     diff = np.bitwise_xor(np.asarray(predicted_labels, dtype=int),
                           np.asarray(true_labels, dtype=int))
     return sum(((diff >> b) & 1) for b in range(k))
-
-
-def bit_error_rate(predicted_labels, true_labels, k: int) -> float:
-    errors = bit_errors(predicted_labels, true_labels, k)
-    return float(errors.sum()) / (k * len(errors))
 
 
 def bpsk_scenario(snr: float) -> ScenarioSpec:

@@ -84,7 +84,7 @@ def test_criterion_03_analytic_vs_simulation():
         while done < trials:
             count = min(20000, trials - done)
             s, x = sc.sampler(rng, count)
-            ideal = x @ sc.analytic_gamma.T
+            ideal = x @ sc.model.task_matrix.T
             shat = estimate(des, x, rng=rng, dither=True)
             excess_sum += ((ideal - shat) ** 2).sum()
             done += count

@@ -28,7 +28,7 @@ def test_gaussian_mmse_matches_conditional_mean_oracle():
     sc = dft_pilot_scenario()
     rng = np.random.default_rng(1)
     s, x = sc.sampler(rng, 10 ** 5)
-    err = ((s - x @ sc.analytic_gamma.T) ** 2).sum(axis=1)
+    err = ((s - x @ sc.model.task_matrix.T) ** 2).sum(axis=1)
     assert err.mean() == pytest.approx(sc.analytic_mmse, rel=0.02)
 
 

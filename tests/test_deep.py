@@ -57,6 +57,23 @@ def test_soft_quantize_examples():
     assert val == pytest.approx(1.0, abs=1e-6)
 
 
+def test_soft_quantize_matches_apply_and_broadcast_formula():
+    rng = np.random.default_rng(23)
+    for channels, levels in ((10, 64), (10, 8), (1, 2)):
+        sq = deep.SoftQuantizer(
+            outer=rng.uniform(0.1, 1.0, (channels, levels - 1)),
+            shifts=rng.uniform(-50.0, 50.0, (channels, levels - 1)),
+            steepness=rng.uniform(10.0, 60.0, (channels, levels - 1)))
+        for batch in (1, 128):
+            z = rng.standard_normal((batch, channels))
+            got = deep.soft_quantize(z, sq.outer, sq.shifts, sq.steepness)
+            assert got.shape == (batch, channels)
+            assert np.array_equal(got, sq.apply(z))
+            want = (sq.outer * np.tanh(z[:, :, None] * sq.steepness
+                                       - sq.shifts)).sum(axis=2)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_forward_sign_like():
     c = 1000.0
     net = deep.Network(
@@ -437,35 +454,50 @@ def reference_backward(net, x, targets):
                                  quant_shifts=d_shifts, digital=digital)
 
 
-def wide_net(seed, head, levels, hidden=(9,)):
+def wide_net(seed, head, levels, hidden=(9,), batch=128, channels=10):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((128, 12))
-    net, _ = small_net(rng, head=head, n=12, p=10, k=2, levels=levels,
+    x = rng.standard_normal((batch, 12))
+    net, _ = small_net(rng, head=head, n=12, p=channels, k=2, levels=levels,
                        hidden_analog=hidden, hidden_digital=hidden,
                        steepness=50.0)
-    targets = (rng.standard_normal((128, 2)) if head == "estimation"
-               else rng.integers(0, 4, size=128))
+    targets = (rng.standard_normal((batch, 2)) if head == "estimation"
+               else rng.integers(0, 4, size=batch))
     return net, x, targets
+
+
+def worst_reference_gap(net, x, targets):
+    """Largest relative gap between `backward` and `reference_backward`."""
+    value, grads = deep.backward(net, x, targets)
+    ref_value, ref = reference_backward(net, x, targets)
+    assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+    pairs = [(grads.quant_outer, ref.quant_outer),
+             (grads.quant_shifts, ref.quant_shifts)]
+    for mine, theirs in ((grads.analog, ref.analog),
+                         (grads.digital, ref.digital)):
+        for (dw, db), (rw, rb) in zip(mine, theirs):
+            pairs += [(dw, rw), (db, rb)]
+    assert len(pairs) == 10      # two layers on each side of the quantizer
+    return max(np.linalg.norm(got - want) / np.linalg.norm(want)
+               for got, want in pairs)
 
 
 @pytest.mark.parametrize("head", ["estimation", "classification"])
 @pytest.mark.parametrize("levels", [2, 8, 64])
 def test_backward_matches_broadcast_reference(head, levels):
-    worst = 0.0
-    for seed in range(4):
-        net, x, targets = wide_net(seed, head, levels)
-        value, grads = deep.backward(net, x, targets)
-        ref_value, ref = reference_backward(net, x, targets)
-        assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
-        pairs = [(grads.quant_outer, ref.quant_outer),
-                 (grads.quant_shifts, ref.quant_shifts)]
-        for mine, theirs in ((grads.analog, ref.analog),
-                             (grads.digital, ref.digital)):
-            for (dw, db), (rw, rb) in zip(mine, theirs):
-                pairs += [(dw, rw), (db, rb)]
-        assert len(pairs) == 10      # two layers on each side of the quantizer
-        for got, want in pairs:
-            worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
+    worst = max(worst_reference_gap(*wide_net(seed, head, levels))
+                for seed in range(4))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("head", ["estimation", "classification"])
+@pytest.mark.parametrize("batch, channels, levels",
+                         [(1, 10, 8), (128, 1, 8), (128, 10, 2), (1, 1, 2)])
+def test_backward_matches_reference_at_edge_shapes(head, batch, channels, levels):
+    # one sample, one channel or one term per channel: the batched products
+    # of the soft quantizer run as matrix-vector kernels
+    worst = max(worst_reference_gap(*wide_net(seed, head, levels, batch=batch,
+                                              channels=channels))
+                for seed in range(4))
     assert worst <= 1e-12
 
 
