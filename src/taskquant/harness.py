@@ -140,6 +140,13 @@ class ExperimentConfig:
             raise ConfigError(f"[sweep] axis: unknown axis {self.axis!r}")
         if not 0.0 <= self.csi_fraction < math.inf:
             raise ConfigError("[scenario] csi_fraction: must be finite and >= 0")
+        if self.snr_db is not None:
+            _linear_snr(self.snr_db)
+        if self.axis == "snr_db":
+            for value in self.grid:
+                _linear_snr(value, "[sweep] grid")
+        if self.csi_seed < 0:
+            raise ConfigError("[scenario] csi_seed: must be >= 0")
         if self.partition is not None:
             if not all(float(v).is_integer() and v >= 0 for v in self.partition):
                 raise ConfigError("[design] partition: owners must be whole "
@@ -162,12 +169,24 @@ def build_scenario(config: ExperimentConfig) -> scenarios.ScenarioSpec:
     elif name == "bpsk":
         if config.snr_db is None:
             raise ConfigError("[scenario] snr_db: required for the bpsk scenario")
-        spec = scenarios.bpsk_scenario(10.0 ** (config.snr_db / 10.0))
+        spec = scenarios.bpsk_scenario(_linear_snr(config.snr_db))
     else:
         raise ConfigError(f"[scenario] name: unknown scenario {name!r}")
     if config.csi_fraction > 0:
         spec = scenarios.csi_perturb(spec, config.csi_fraction, config.csi_seed)
     return spec
+
+
+def _linear_snr(snr_db: float, key: str = "[scenario] snr_db") -> float:
+    """snr_db as a linear SNR; ConfigError naming `key` when that is not
+    finite and positive."""
+    try:
+        snr = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        snr = math.inf
+    if not 0.0 < snr < math.inf:
+        raise ConfigError(f"{key}: {snr_db:g} dB gives no finite positive SNR")
+    return snr
 
 
 def feasible_support_scale(requested: float, levels: int) -> float:

@@ -14,7 +14,6 @@ from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .bounds import gaussian_mmse
 from .linear_task import LinearTaskModel
@@ -274,7 +273,10 @@ def quantized_map_detect(observations, scenario: ScenarioSpec, levels: int,
     absorb the saturated tails): one product of a sparse (count x n L) cell
     indicator, one entry per antenna, with the (n L x classes) table of log
     cell probabilities. Non-finite observations raise ValueError."""
-    from scipy.sparse import csr_array  # as costly to import as the package
+    # Deferred: scipy.special alone is about half of a cold start, and no
+    # other path in the package needs scipy.
+    from scipy.sparse import csr_array
+    from scipy.special import ndtr
     spec = UniformQuantizerSpec(levels, support)
     x = np.atleast_2d(_check_finite(np.array(observations, dtype=float)))
     count, n = x.shape

@@ -194,6 +194,15 @@ def test_bound_rows_match_sweep_bound_rows(isi_config, tmp_path):
     ("sweep --trials 0", {}, "trials"),
     ("sweep", {"name = isi": "name = isi\ncsi_fraction = -0.5"}, "csi_fraction"),
     ("sweep", {"name = isi": "name = isi\ncsi_fraction = nan"}, "csi_fraction"),
+    ("train", {"name = isi": "name = isi\ncsi_fraction = 0.2\ncsi_seed = -4"},
+     "[scenario] csi_seed"),
+    # 10 ** (4000 / 10) overflows a float; 10 ** (-4000 / 10) rounds to zero
+    ("sweep", {"name = isi": "name = bpsk\nsnr_db = 4000"}, "[scenario] snr_db"),
+    ("sweep", {"name = isi": "name = bpsk\nsnr_db = -4000"}, "[scenario] snr_db"),
+    ("simulate", {"name = isi": "name = bpsk\nsnr_db = 4000",
+                  "axis = rate_bits": "axis = snr_db"}, "[scenario] snr_db"),
+    ("sweep", {"name = isi": "name = bpsk", "axis = rate_bits": "axis = snr_db",
+               "grid = 8 16": "grid = 6 4000"}, "[sweep] grid"),
     ("sweep", {"method = task_based": "method = quadratic"}, "method"),
     ("sweep", {"dither = true": "[train]\ntest_size = 0"}, "test_size"),
     ("sweep", {"dither = true": "[train]\ntrain_size = 0"}, "train_size"),
@@ -229,9 +238,10 @@ def test_bound_rows_match_sweep_bound_rows(isi_config, tmp_path):
 ], ids=["grid-inf", "grid-overflow", "grid-nan", "channels-zero",
         "support-scale-negative", "support-scale-range-inf",
         "simulate-levels-zero", "trials-flag-zero", "csi-fraction-negative",
-        "csi-fraction-nan", "method-quadratic", "test-size-zero",
-        "train-size-zero", "epochs-zero", "batch-size-negative",
-        "learning-rate-nan", "learning-rate-zero", "hidden-width-zero",
+        "csi-fraction-nan", "csi-seed-negative", "snr-overflow",
+        "snr-underflow", "simulate-snr-overflow", "snr-grid-point-overflow",
+        "method-quadratic", "test-size-zero", "train-size-zero", "epochs-zero",
+        "batch-size-negative", "learning-rate-nan", "learning-rate-zero", "hidden-width-zero",
         "hidden-width-fraction", "train-support-scale-inf", "steepness-negative",
         "unknown-key", "unknown-section", "sweep-and-simulate",
         "partition-fraction", "partition-negative", "partition-owner-8",
