@@ -1,9 +1,10 @@
 """Monte Carlo experiment engine.
 
 Runs designed or learned pipelines against scenarios over rate or SNR grids,
-with counter-style random streams split per (method, grid point, trial block)
-so results are reproducible and adding a method never perturbs another
-method's draws. Rows serialize to CSV with a fixed header.
+with counter-style random streams split per (method, trial block): every grid
+point of a sweep replays the same draws, so results are reproducible, a row
+does not depend on the other grid points, and adding a method never perturbs
+another method's draws. Rows serialize to CSV with a fixed header.
 """
 
 from __future__ import annotations
@@ -233,21 +234,11 @@ def _quantize_batch(z, spec: UniformQuantizerSpec, rng, dither: bool):
     return uniform_quantize(z, spec)
 
 
-def _squared_errors(scenario, predict, combiner=None):
-    """Block function (rng, count) -> per-trial squared task error.
-
-    With a combiner, the scenario's sampler hands `predict` the combined
-    observations y and the trial scores E[s | y] instead of the task, plus
-    the residual E||s - E[s | y]||^2: the same expected error, from fewer
-    draws and with no more variance.
-    """
+def _squared_errors(scenario, predict):
+    """Block function (rng, count) -> per-trial squared task error."""
     def block(rng, count):
-        if combiner is None:
-            tasks, obs = scenario.sampler(rng, count)
-            residual = 0.0
-        else:
-            tasks, obs, residual = scenario.sampler(rng, count, combiner=combiner)
-        return ((tasks - predict(obs, rng)) ** 2).sum(axis=1) + residual
+        tasks, obs = scenario.sampler(rng, count)
+        return ((tasks - predict(obs, rng)) ** 2).sum(axis=1)
 
     return block
 
@@ -256,18 +247,28 @@ def _design_errors(scenario, des: QuantizerDesign, dither: bool):
     """Per-trial squared errors of a designed pipeline with its fixed combiner.
 
     Gaussian linear scenarios draw only y = A x and score each trial by the
-    task's conditional mean plus its closed-form residual, so the
-    n-dimensional observation is never built; quadratic scenarios draw x and
-    evaluate the combiner rows as quadratic forms on it.
+    task's conditional mean plus its closed-form residual (the same expected
+    error, from p normals per trial instead of k + n, and with no more
+    variance), so the n-dimensional observation is never built; quadratic
+    scenarios draw x and evaluate the combiner rows as quadratic forms on it.
     """
     if scenario.kind == "quadratic":
         lifted = scenario.lifted
         return _squared_errors(scenario, lambda x, rng: lifted.estimate(
             des, x, rng=rng, dither=dither))
-    return _squared_errors(
-        scenario,
-        lambda y, rng: estimate(des, y, rng=rng, dither=dither, combined=True),
-        combiner=des.analog)
+    law = scenario.conditional_law(des.analog)
+    _, mean_map, residual = law
+
+    def block(rng, count):
+        drawn = list(scenario.sampler(rng, count, law=law))   # [g, y = g R]
+        # estimate holds the only reference to y, so y is freed before the
+        # recovery product is allocated: one (count, p) buffer less at the peak
+        err = estimate(des, drawn.pop(), rng=rng, dither=dither, combined=True)
+        err -= drawn[0] @ mean_map
+        np.square(err, out=err)
+        return err.sum(axis=1) + residual
+
+    return block
 
 
 def quantizer_count(method: str, scenario, channels: Optional[int]) -> int:
@@ -395,28 +396,90 @@ def _parse_constraint(config: ExperimentConfig, n: int, channels: int):
     raise ConfigError(f"[design] constraint: unknown kind {kind!r}")
 
 
-def _monte_carlo(block, trials: int, seed: int):
-    """Mean and standard error of per-trial values over seeded trial blocks.
+class _Replay:
+    """Generator stand-in that hands every row of a trial block the same draws.
 
-    block(rng, count) returns one value per trial. Block b draws from
-    SeedSequence([seed, b]); each block is reduced to (count, mean, M2) and
-    merged in block order (Chan, Golub & LeVeque 1983), so memory stays
-    O(block) however many trials run. One trial has no standard error (nan).
+    The first row's calls draw from `rng`; after `rewind`, each later row must
+    make the same calls, with the same shapes, in the same order, and receives
+    the same arrays. Every array is read-only, so no row can alter another
+    row's draws. `uniform(low, high, size)` replays the stored `random(size)`
+    as low + (high - low) r, bit for bit what `Generator.uniform` returns, so
+    rows may differ in their bounds.
     """
-    done, mean, m2 = 0, 0.0, 0.0
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._draws = []        # (call, array) in call order
+        self._next = 0
+        self._recording = True
+
+    def rewind(self):
+        """Start the next row at the first recorded draw."""
+        self._next, self._recording = 0, False
+
+    def _take(self, call, draw):
+        if self._next == len(self._draws):
+            if not self._recording:
+                raise ValueError(f"replayed row asks for {call}, beyond the "
+                                 f"first row's draws")
+            values = np.asarray(draw())
+            values.flags.writeable = False
+            self._draws.append((call, values))
+        recorded, values = self._draws[self._next]
+        if recorded != call:
+            raise ValueError(f"replayed row asks for {call} where the first "
+                             f"row drew {recorded}")
+        self._next += 1
+        return values
+
+    def standard_normal(self, size):
+        return self._take(("standard_normal", size),
+                          lambda: self._rng.standard_normal(size))
+
+    def integers(self, low, high, size):
+        return self._take(("integers", low, high, size),
+                          lambda: self._rng.integers(low, high, size=size))
+
+    def uniform(self, low, high, size):
+        r = self._take(("random", size), lambda: self._rng.random(size))
+        return low + (high - low) * r
+
+
+def _monte_carlo_rows(blocks, trials: int, seed: int):
+    """(mean, standard error, seconds) of each row's per-trial values.
+
+    blocks[i](rng, count) returns row i's value per trial. Trial block b
+    makes one generator from SeedSequence([seed, b]) and every row replays
+    its draws (`_Replay`), so rows share their trials. Each row reduces each
+    block to (count, mean, M2) and merges in block order (Chan, Golub &
+    LeVeque 1983), so memory stays O(block) however many trials run; seconds
+    is the time spent in the row's own block calls. One trial has no
+    standard error (nan).
+    """
+    stats = [[0.0, 0.0, 0.0] for _ in blocks]   # mean, M2, seconds
+    done = 0
     for idx in range(-(-trials // _BLOCK)):
         count = min(_BLOCK, trials - done)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
-        values = block(rng, count)
-        block_mean = float(values.mean())
-        block_m2 = float(((values - block_mean) ** 2).sum())
         total = done + count
-        delta = block_mean - mean
-        mean += delta * count / total
-        m2 += block_m2 + delta * delta * done * count / total
+        draws = _Replay(np.random.default_rng(np.random.SeedSequence([seed, idx])))
+        for block, row in zip(blocks, stats):
+            start = time.perf_counter()
+            values = block(draws, count)
+            draws.rewind()
+            block_mean = float(values.mean())
+            block_m2 = float(((values - block_mean) ** 2).sum())
+            delta = block_mean - row[0]
+            row[0] += delta * count / total
+            row[1] += block_m2 + delta * delta * done * count / total
+            row[2] += time.perf_counter() - start
         done = total
-    se = math.sqrt(m2 / (done - 1) / done) if done > 1 else float("nan")
-    return mean, se
+    return [(mean, math.sqrt(m2 / (done - 1) / done) if done > 1 else float("nan"),
+             seconds) for mean, m2, seconds in stats]
+
+
+def _monte_carlo(block, trials: int, seed: int):
+    """Mean and standard error of one row's per-trial values."""
+    return _monte_carlo_rows([block], trials, seed)[0][:2]
 
 
 def simulate_mse(design_: QuantizerDesign, scenario, trials: int, seed: int,
@@ -431,8 +494,8 @@ def simulate_mse(design_: QuantizerDesign, scenario, trials: int, seed: int,
                      wall_time_ms=elapsed)
 
 
-def simulate_ber(detector, scenario, trials: int, seed: int) -> ResultRow:
-    """Empirical bit error rate of a labels-from-observations detector."""
+def _bit_error_fractions(detector, scenario):
+    """Block function (rng, count) -> per-trial fraction of label bits wrong."""
     k = scenario.k
 
     def block(rng, count):
@@ -440,8 +503,13 @@ def simulate_ber(detector, scenario, trials: int, seed: int) -> ResultRow:
         truth = scenarios.symbols_to_labels(symbols)
         return scenarios.bit_errors(detector(obs), truth, k) / k
 
+    return block
+
+
+def simulate_ber(detector, scenario, trials: int, seed: int) -> ResultRow:
+    """Empirical bit error rate of a labels-from-observations detector."""
     start = time.perf_counter()
-    est, se = _monte_carlo(block, trials, seed)
+    est, se = _monte_carlo(_bit_error_fractions(detector, scenario), trials, seed)
     elapsed = (time.perf_counter() - start) * 1000.0
     return ResultRow(axis=float("nan"), method="map", metric="ber",
                      estimate=est, std_error=se, trials=trials,
@@ -464,41 +532,58 @@ def bound_row(scenario, bits: float) -> ResultRow:
 def sweep(config: ExperimentConfig, verbose: bool = False):
     """One row per grid point for the configured method, then bound rows for
     Gaussian linear scenarios on rate sweeps. Writes CSV when an output path
-    is configured."""
+    is configured.
+
+    Monte Carlo rows run together, block by block, on the draws of the
+    method's grid-0 stream, so a row depends only on its own grid point and
+    a one-point sweep reproduces it. Deep rows train one network per point,
+    each from its own stream."""
     if config.method not in _METHODS:
         raise ConfigError(f"[sweep] method: unknown method {config.method!r}")
     if not config.grid:
         raise ConfigError("[sweep] grid: at least one point required")
-    if config.axis == "rate_bits":   # SNR points each build their own scenario
+    rate = config.axis == "rate_bits"
+    if rate:   # SNR points each build their own scenario
         scenario = build_scenario(config)
         if config.method in (*_MSE_METHODS, "deep"):
             for value in config.grid:   # an infeasible point fails before any trial
                 _rate_levels(config, scenario, value)
-    rows = []
-    for idx, value in enumerate(config.grid):
-        seed = derive_seed(config.seed, config.method, idx)
-        start = time.perf_counter()
-        realized = None
-        if config.axis == "rate_bits":
-            if config.method == "deep":
-                row = _deep_mse_row(config, scenario, value, seed)
+    rows, realized = [], []
+    if config.method == "deep":
+        for idx, value in enumerate(config.grid):
+            start = time.perf_counter()
+            seed = derive_seed(config.seed, config.method, idx)
+            row = (_deep_mse_row(config, scenario, value, seed) if rate
+                   else _deep_ber_row(config, value, seed))
+            row.axis = value
+            row.wall_time_ms = (time.perf_counter() - start) * 1000.0
+            rows.append(row)
+            realized.append(None)
+    else:
+        blocks, setup = [], []
+        for value in config.grid:
+            start = time.perf_counter()
+            if rate:
+                block, _, bits = _mse_predictor(config, scenario, value)
             else:
-                block, _, realized = _mse_predictor(config, scenario, value)
-                est, se = _monte_carlo(block, config.trials, seed)
-                row = ResultRow(axis=value, method=config.method, metric="mse",
-                                estimate=est, std_error=se, trials=config.trials)
-        else:
-            row = _snr_row(config, value, seed)
-        row.axis = value
-        row.wall_time_ms = (time.perf_counter() - start) * 1000.0
-        rows.append(row)
-        if verbose:
-            budget = ("" if realized is None
-                      else f" [realized {realized:g}/{value:g} bits]")
-            print(f"{config.method} @ {value:g}: {row.metric}="
+                block, bits = _ber_block(config, value), None
+            blocks.append(block)
+            realized.append(bits)
+            setup.append(time.perf_counter() - start)
+        stats = _monte_carlo_rows(blocks, config.trials,
+                                  derive_seed(config.seed, config.method, 0))
+        for value, (est, se, seconds), spent in zip(config.grid, stats, setup):
+            rows.append(ResultRow(axis=value, method=config.method,
+                                  metric="mse" if rate else "ber", estimate=est,
+                                  std_error=se, trials=config.trials,
+                                  wall_time_ms=(spent + seconds) * 1000.0))
+    if verbose:
+        for row, bits in zip(rows, realized):
+            budget = "" if bits is None else f" [realized {bits:g}/{row.axis:g} bits]"
+            print(f"{row.method} @ {row.axis:g}: {row.metric}="
                   f"{row.estimate:.6g} (se {row.std_error:.2g}){budget}",
                   file=sys.stderr)
-    if config.axis == "rate_bits" and scenario.kind == "linear":
+    if rate and scenario.kind == "linear":
         rows.extend(bound_row(scenario, value) for value in config.grid)
     if config.output:
         with open(config.output, "w", encoding="utf-8", newline="\n") as fh:
@@ -515,31 +600,39 @@ def _deep_mse_row(config: ExperimentConfig, scenario, bits: float,
                      trials=config.train.test_size)
 
 
-def _snr_row(config: ExperimentConfig, snr_db: float, seed: int) -> ResultRow:
+def _snr_point(config: ExperimentConfig, snr_db: float):
+    """(scenario at snr_db, total bits) of an SNR-axis row."""
     point = build_scenario(replace(config, snr_db=snr_db))
     if point.kind != "classification":
         raise ConfigError("[sweep] axis: snr_db sweeps need a classification scenario")
     bits = config.rate_bits if config.rate_bits is not None else float(point.n)
+    return point, bits
+
+
+def _ber_block(config: ExperimentConfig, snr_db: float):
+    """Block function (rng, count) -> per-trial bit error fractions of the
+    configured reference detector at snr_db. Every point draws the same
+    symbols and standard noise, scaled by the point's noise std."""
+    point, bits = _snr_point(config, snr_db)
     if config.method == "map":
-        row = simulate_ber(lambda x: scenarios.map_detect(x, point), point,
-                           config.trials, seed)
-    elif config.method == "quantized_map":
+        return _bit_error_fractions(lambda x: scenarios.map_detect(x, point), point)
+    if config.method == "quantized_map":
         levels = levels_for(bits, point.n, floor_at_two=True)
         std = np.sqrt(np.diag(point.mixing @ point.mixing.T) + point.noise_var)
         support = feasible_support_scale(config.support_scale, levels) * std.max()
-        row = simulate_ber(
-            lambda x: scenarios.quantized_map_detect(x, point, levels, support),
-            point, config.trials, seed)
-    elif config.method == "deep":
-        result = train_deep_classifier(point, bits, settings=config.train,
-                                       seed=seed, channels=config.channels)
-        hardened = result["hardened"]
-        row = simulate_ber(lambda x: deep.classify(hardened, x), point,
-                           config.trials, derive_seed(seed, "eval"))
-    else:
-        raise ConfigError(f"[sweep] method: {config.method!r} does not produce BER rows")
-    row.method = config.method
-    row.metric = "ber"
+        return _bit_error_fractions(
+            lambda x: scenarios.quantized_map_detect(x, point, levels, support), point)
+    raise ConfigError(f"[sweep] method: {config.method!r} does not produce BER rows")
+
+
+def _deep_ber_row(config: ExperimentConfig, snr_db: float, seed: int) -> ResultRow:
+    point, bits = _snr_point(config, snr_db)
+    result = train_deep_classifier(point, bits, settings=config.train,
+                                   seed=seed, channels=config.channels)
+    hardened = result["hardened"]
+    row = simulate_ber(lambda x: deep.classify(hardened, x), point,
+                       config.trials, derive_seed(seed, "eval"))
+    row.method = "deep"
     return row
 
 

@@ -399,10 +399,12 @@ def estimate(design_: QuantizerDesign, x, rng: np.random.Generator | None = None
         dither = design_.quantizer.dithered
     if not combined:
         x = x @ design_.analog.T
+    # rebinding x frees a combined input the caller no longer holds before
+    # the recovery product is allocated
     if dither:
         if rng is None:
             raise ValueError("dithered estimation requires an rng")
-        quantized = dithered_quantize(x, design_.quantizer, rng)
+        x = dithered_quantize(x, design_.quantizer, rng)
     else:
-        quantized = uniform_quantize(x, design_.quantizer)
-    return np.asarray(quantized) @ design_.digital.T
+        x = uniform_quantize(x, design_.quantizer)
+    return np.asarray(x) @ design_.digital.T

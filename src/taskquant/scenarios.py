@@ -40,8 +40,7 @@ class ScenarioSpec:
     name: str
     kind: str                       # "linear" | "quadratic" | "classification"
     sampler: Callable               # (rng, count) -> (tasks, observations);
-                                    # linear kinds also take combiner=A and
-                                    # return (E[s | A x], A x, residual MSE)
+                                    # Gaussian linear kinds also take law=
     model: Optional[LinearTaskModel] = None
     train_sampler: Optional[Callable] = None
     analytic_mmse: Optional[float] = None
@@ -72,24 +71,30 @@ class ScenarioSpec:
         eig = np.linalg.eigvalsh(self.model.estimate_covariance())[::-1]
         return np.clip(eig, 0.0, None)
 
+    def conditional_law(self, combiner):
+        """(R, M, r) of y = A x for a real combiner A on a Gaussian task prior.
 
-def _conditional_law(mixing, cov_s, noise_var, combiner):
-    """Draw matrix [R | M] and residual r of y = A x and E[s | y] = K y.
-
-    With g ~ N(0, I_p), y = g R and K y = g M, where Σ_yy = Q diag(w) Q^T,
-    R = Q sqrt(w) Q^T and M = (Σ_sy Q_r w_r^(-1/2) Q_r^T)^T, so one product
-    g [R | M] gives both; r = tr Σ_s - tr(K Σ_ys) = E||s - K y||^2. A combiner
-    with zero-gain rows makes Σ_yy singular, so eigenvalues are clipped at
-    zero for R and only those above 1e-12 of the largest enter K.
-    """
-    cross = combiner @ mixing @ cov_s                       # Σ_ys
-    cov_y = cross @ mixing.T @ combiner.T + noise_var * combiner @ combiner.T
-    w, q = np.linalg.eigh(0.5 * (cov_y + cov_y.T))
-    w = np.clip(w, 0.0, None)
-    kept = w > 1e-12 * w.max()
-    gain = cross.T @ (q[:, kept] / np.sqrt(w[kept]))        # Σ_sy Q_r w_r^(-1/2)
-    draw = np.hstack([(q * np.sqrt(w)) @ q.T, q[:, kept] @ gain.T])
-    return draw, float(np.trace(cov_s) - np.sum(gain * gain))
+        With g ~ N(0, I_p), y = g R and E[s | y] = g M, and
+        r = E||s - E[s | y]||^2, so a trial's expected squared error is
+        E||g M - s_hat(y)||^2 + r for any estimate s_hat(y) of the task.
+        Σ_yy = Q diag(w) Q^T gives R = Q sqrt(w) Q^T and
+        M = (Σ_sy Q_r w_r^(-1/2) Q_r^T)^T. A combiner with zero-gain rows
+        makes Σ_yy singular, so eigenvalues are clipped at zero for R and
+        only those above 1e-12 of the largest enter M.
+        """
+        if self.prior_cov is None or np.iscomplexobj(combiner):
+            raise ValueError("the conditional law needs a Gaussian task prior "
+                             "and a real combiner")
+        a = np.asarray(combiner, dtype=float)
+        cov_s = self.prior_cov
+        cross = a @ self.mixing @ cov_s                          # Σ_ys
+        cov_y = cross @ self.mixing.T @ a.T + self.noise_var * a @ a.T
+        w, q = np.linalg.eigh(0.5 * (cov_y + cov_y.T))
+        w = np.clip(w, 0.0, None)
+        kept = w > 1e-12 * w.max()
+        gain = cross.T @ (q[:, kept] / np.sqrt(w[kept]))         # Σ_sy Q_r w_r^(-1/2)
+        return ((q * np.sqrt(w)) @ q.T, q[:, kept] @ gain.T,
+                float(np.trace(cov_s) - np.sum(gain * gain)))
 
 
 def _observe(mixing, s, noise_std, rng) -> np.ndarray:
@@ -97,30 +102,19 @@ def _observe(mixing, s, noise_std, rng) -> np.ndarray:
     return s @ mixing.T + noise_std * rng.standard_normal((s.shape[0], mixing.shape[0]))
 
 
-def _mixing_sampler(draw_tasks, mixing, noise_var, cov_s=None):
+def _mixing_sampler(draw_tasks, mixing, noise_var):
     """Sampler of (tasks, x = H s + w) with w of variance noise_var.
 
-    Gaussian task priors (cov_s given) also take a real combiner A and then
-    draw only y = A x, from its p-dimensional law, returning (E[s | y], y, r)
-    with r = E||s - E[s | y]||^2: a trial's expected squared error is
-    E||E[s | y] - s_hat(y)||^2 + r for any estimate s_hat(y) of the task.
+    Given a law (R, M, r) from `ScenarioSpec.conditional_law`, it draws only
+    y = A x instead: it returns (g, y = g R) for p standard normals g per
+    trial, from which E[s | y] = g M.
     """
     noise_std = np.sqrt(noise_var)
-    last = [None]  # (combiner copy, draw matrix, r), reused while A repeats
 
-    def sample(rng: np.random.Generator, count: int, combiner=None):
-        if combiner is not None:
-            if cov_s is None or np.iscomplexobj(combiner):
-                raise ValueError("the conditional draw needs a Gaussian task "
-                                 "prior and a real combiner")
-            a = np.asarray(combiner, dtype=float)
-            entry = last[0]
-            if entry is None or not np.array_equal(entry[0], a):
-                entry = (a.copy(), *_conditional_law(mixing, cov_s, noise_var, a))
-                last[0] = entry
-            p = a.shape[0]
-            z = rng.standard_normal((count, p)) @ entry[1]
-            return z[:, p:], z[:, :p], entry[2]
+    def sample(rng: np.random.Generator, count: int, law=None):
+        if law is not None:
+            g = rng.standard_normal((count, law[0].shape[0]))
+            return g, g @ law[0]
         s = draw_tasks(rng, count)
         return s, _observe(mixing, s, noise_std, rng)
 
@@ -138,7 +132,7 @@ def _linear_gaussian(name: str, mixing, cov_s, noise_var: float) -> ScenarioSpec
         return rng.standard_normal((count, chol.shape[0])) @ chol.T
 
     return ScenarioSpec(name=name, kind="linear", model=model,
-                        sampler=_mixing_sampler(draw_tasks, mixing, noise_var, cov_s),
+                        sampler=_mixing_sampler(draw_tasks, mixing, noise_var),
                         analytic_mmse=mmse, mixing=mixing, noise_var=noise_var,
                         prior_cov=cov_s, draw_tasks=draw_tasks)
 

@@ -112,8 +112,8 @@ def test_criterion_04_rate_sweep_orderings():
         a.estimate <= b.estimate + 3 * np.hypot(a.std_error, b.std_error)
         for a, b in zip(rows["task_based"], rows["mmse_then_quantize"]))
     fine = [r for r in rows["task_based"] if r.axis >= 40.0]
-    negligible = all(abs(r.estimate - sc.analytic_mmse) < 0.05 * sc.analytic_mmse
-                     for r in fine)
+    floor = sc.model.mmse_floor
+    negligible = all(abs(r.estimate - floor) < 0.05 * floor for r in fine)
     bounded = all(r.estimate >= b.estimate - 3 * r.std_error
                   for r, b in zip(rows["task_based"], rows["bound"]))
     elapsed = time.perf_counter() - start
@@ -230,7 +230,7 @@ def test_criterion_08_deep_matches_model_aware():
     outcome = {}
     for bits in (120.0, 240.0):
         levels = int(2 ** (bits / 40))
-        reference = sc.analytic_mmse + design(
+        reference = sc.model.mmse_floor + design(
             sc.model, 40, levels, support_scale=4.0).predicted_excess_mse
         best = np.inf
         for seed in (1, 2, 3):

@@ -29,7 +29,7 @@ def test_gaussian_mmse_matches_conditional_mean_oracle():
     rng = np.random.default_rng(1)
     s, x = sc.sampler(rng, 10 ** 5)
     err = ((s - x @ sc.model.task_matrix.T) ** 2).sum(axis=1)
-    assert err.mean() == pytest.approx(sc.analytic_mmse, rel=0.02)
+    assert err.mean() == pytest.approx(sc.model.mmse_floor, rel=0.02)
 
 
 def test_drf_scalar():

@@ -297,3 +297,93 @@ def test_simulate_mse_memory_does_not_grow_with_trials():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+_SHARED_CASES = {
+    "isi_task_based": ExperimentConfig(scenario="isi", method="task_based",
+                                       grid=(8.0, 16.0, 24.0), trials=9000,
+                                       seed=14, channels=8),
+    "covariance_digital_only": ExperimentConfig(
+        scenario="covariance", method="digital_only", grid=(12.0, 24.0, 36.0),
+        trials=9000, seed=14),
+    "bpsk_quantized_map": ExperimentConfig(
+        scenario="bpsk", method="quantized_map", axis="snr_db", snr_db=10.0,
+        grid=(6.0, 8.0, 10.0), trials=9000, seed=14),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SHARED_CASES))
+def test_a_row_does_not_depend_on_the_other_grid_points(case):
+    # every sub-grid, one-point sweeps included, reproduces its rows exactly
+    cfg = _SHARED_CASES[case]
+    full = {r.axis: r.csv_line() for r in harness.sweep(cfg) if r.method != "bound"}
+    for grid in [(v,) for v in cfg.grid] + [cfg.grid[:2], cfg.grid[::2],
+                                              cfg.grid[1:]]:
+        rows = harness.sweep(dataclasses.replace(cfg, grid=grid))
+        assert [r.csv_line() for r in rows if r.method != "bound"] == [
+            full[v] for v in grid]
+
+
+def test_simulate_reproduces_the_sweep_row_at_its_budget(tmp_path, capsys):
+    from taskquant import cli
+    text = ("[scenario]\nname = isi\n\n[design]\nchannels = 8\n\n"
+            "[sweep]\ngrid = 8 16 24\ntrials = 9000\nseed = 3\n")
+    path = tmp_path / "isi.cfg"
+    path.write_text(text)
+    assert cli.main(["sweep", "--config", str(path)]) == 0
+    swept = capsys.readouterr().out.splitlines()[1:4]
+    for line in swept:
+        path.write_text(text + f"rate_bits = {line.split(',')[0]}\n")
+        assert cli.main(["simulate", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == line
+
+
+def test_rows_share_draws_read_only_and_in_call_order():
+    def reader(rng, count):
+        return rng.standard_normal((count, 2)).sum(axis=1)
+
+    def writer(rng, count):
+        g = rng.standard_normal((count, 2))
+        g += 1.0
+        return g.sum(axis=1)
+
+    def other_shape(rng, count):
+        return rng.standard_normal((count, 3)).sum(axis=1)
+
+    def extra_draw(rng, count):
+        return reader(rng, count) + rng.uniform(0.0, 1.0, count)
+
+    for rows in ([reader, writer], [writer], [reader, other_shape],
+                 [reader, extra_draw]):
+        with pytest.raises(ValueError):
+            harness._monte_carlo_rows(rows, 10, seed=0)
+    (a, se_a, _), (b, se_b, _) = harness._monte_carlo_rows([reader, reader],
+                                                           9000, seed=0)
+    assert (a, se_a) == (b, se_b) == harness._monte_carlo(reader, 9000, seed=0)
+
+
+def test_replayed_uniform_is_the_generators_uniform():
+    size = (300, 7)
+    draws = harness._Replay(np.random.default_rng(8))
+    first = draws.uniform(-0.3, 0.7, size)
+    np.testing.assert_array_equal(
+        first, np.random.default_rng(8).uniform(-0.3, 0.7, size))
+    draws.rewind()
+    np.testing.assert_array_equal(
+        draws.uniform(-2.5, 0.5, size),
+        np.random.default_rng(8).uniform(-2.5, 0.5, size))
+
+
+def test_sweep_memory_does_not_grow_with_trials():
+    peaks = []
+    for trials in (10 ** 5, 4 * 10 ** 5):
+        cfg = ExperimentConfig(scenario="isi", method="task_based",
+                               grid=(8.0, 16.0, 24.0), trials=trials, seed=3,
+                               channels=8)
+        tracemalloc.start()
+        try:
+            harness.sweep(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]

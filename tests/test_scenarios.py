@@ -256,7 +256,9 @@ def test_joint_sampler_matches_analytic_covariance(case):
     if case == "isi_rank_deficient":
         assert np.linalg.matrix_rank(cov_y) < a.shape[0]
     count = 60_000
-    mean, y, residual = sc.sampler(np.random.default_rng(21), count, combiner=a)
+    law = sc.conditional_law(a)
+    g, y = sc.sampler(np.random.default_rng(21), count, law=law)
+    mean, residual = g @ law[1], law[2]
     assert mean.shape == (count, sc.k) and y.shape == (count, a.shape[0])
     cross = a @ sc.mixing @ sc.prior_cov                   # Cov(y, s)
     gain = cross.T @ np.linalg.pinv(cov_y, rcond=1e-10, hermitian=True)
@@ -278,7 +280,8 @@ def test_joint_sampler_overload_rate_matches_full_sampler():
         support = des.quantizer.support
         _, x = sc.sampler(np.random.default_rng(31), count)
         full = np.mean(np.abs(x @ des.analog.T) > support)
-        _, y, _ = sc.sampler(np.random.default_rng(32), count, combiner=des.analog)
+        law = sc.conditional_law(des.analog)
+        _, y = sc.sampler(np.random.default_rng(32), count, law=law)
         joint = np.mean(np.abs(y) > support)
         rate = 0.5 * (full + joint)
         se = np.sqrt(2 * rate * (1 - rate) / (count * des.channels))
