@@ -133,10 +133,11 @@ class ExperimentConfig:
         scale_range = self.support_scale_range
         if scale_range is not None and len(scale_range) != 2:
             raise ConfigError("[design] support_scale_range: expected two values")
-        if not all(math.isfinite(v) and v > 0
-                   for v in (self.support_scale, *(scale_range or ()))):
-            raise ConfigError("[design] support_scale: values must be finite "
-                              "and positive")
+        for key, values in (("support_scale", (self.support_scale,)),
+                            ("support_scale_range", scale_range or ())):
+            if not all(math.isfinite(v) and v > 0 for v in values):
+                raise ConfigError(f"[design] {key}: values must be finite "
+                                  f"and positive")
         if self.axis not in ("rate_bits", "snr_db"):
             raise ConfigError(f"[sweep] axis: unknown axis {self.axis!r}")
         if not 0.0 <= self.csi_fraction < math.inf:
@@ -237,7 +238,7 @@ def _quantize_batch(z, spec: UniformQuantizerSpec, rng, dither: bool):
 def _squared_errors(scenario, predict):
     """Block function (rng, count) -> per-trial squared task error."""
     def block(rng, count):
-        tasks, obs = scenario.sampler(rng, count)
+        tasks, obs = rng.sample(scenario.sampler, count)
         return ((tasks - predict(obs, rng)) ** 2).sum(axis=1)
 
     return block
@@ -357,7 +358,7 @@ def _mse_predictor(config: ExperimentConfig, scenario, bits: float):
             spec = UniformQuantizerSpec(levels, support, dithered=True)
 
             def block(rng, count):  # the tasks are their own MMSE estimate
-                tasks = scenario.sampler(rng, count)[0]
+                tasks = rng.sample(scenario.sampler, count)[0]
                 quantized = _quantize_batch(tasks, spec, rng, config.dither)
                 return ((tasks - quantized) ** 2).sum(axis=1)
             return block, spec, realized
@@ -404,12 +405,14 @@ class _Replay:
     the same arrays. Every array is read-only, so no row can alter another
     row's draws. `uniform(low, high, size)` replays the stored `random(size)`
     as low + (high - low) r, bit for bit what `Generator.uniform` returns, so
-    rows may differ in their bounds.
+    rows may differ in their bounds. `sample` shares a sampler's outputs the
+    same way, so its deterministic work also runs once per block.
     """
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
         self._draws = []        # (call, array) in call order
+        self._samples = {}      # sampler -> (count, first draw, end, outputs)
         self._next = 0
         self._recording = True
 
@@ -444,17 +447,45 @@ class _Replay:
         r = self._take(("random", size), lambda: self._rng.random(size))
         return low + (high - low) * r
 
+    def sample(self, sampler, count):
+        """sampler(self, count), run once per block for each sampler object.
+
+        The first call runs the sampler on this replay and stores its outputs
+        read-only with the draws it consumed. A later call with the same
+        sampler must start at the same draw and `count`; it skips past those
+        draws and gets the stored outputs, so draws made after it still
+        replay in order. A sampler first met in a later row just runs.
+        """
+        shared = self._samples.get(sampler)
+        if shared is None:
+            start = self._next
+            outputs = sampler(self, count)
+            for array in outputs:
+                array.flags.writeable = False
+            if self._recording:
+                self._samples[sampler] = (count, start, self._next, outputs)
+            return outputs
+        recorded, start, end, outputs = shared
+        if (recorded, start) != (count, self._next):
+            raise ValueError(f"row samples {count} trials at draw {self._next} "
+                             f"where the first row sampled {recorded} at draw "
+                             f"{start}")
+        self._next = end
+        return outputs
+
 
 def _monte_carlo_rows(blocks, trials: int, seed: int):
     """(mean, standard error, seconds) of each row's per-trial values.
 
     blocks[i](rng, count) returns row i's value per trial. Trial block b
     makes one generator from SeedSequence([seed, b]) and every row replays
-    its draws (`_Replay`), so rows share their trials. Each row reduces each
-    block to (count, mean, M2) and merges in block order (Chan, Golub &
+    its draws (`_Replay`), so rows share their trials, and the scenario's
+    sampled tasks and observations too (`_Replay.sample`). Each row reduces
+    each block to (count, mean, M2) and merges in block order (Chan, Golub &
     LeVeque 1983), so memory stays O(block) however many trials run; seconds
-    is the time spent in the row's own block calls. One trial has no
-    standard error (nan).
+    is the time spent in the row's own block calls, so the first row's
+    seconds (its `wall_time_ms`) include the block's shared draws and
+    sampling. One trial has no standard error (nan).
     """
     stats = [[0.0, 0.0, 0.0] for _ in blocks]   # mean, M2, seconds
     done = 0
@@ -499,7 +530,7 @@ def _bit_error_fractions(detector, scenario):
     k = scenario.k
 
     def block(rng, count):
-        symbols, obs = scenario.sampler(rng, count)
+        symbols, obs = rng.sample(scenario.sampler, count)
         truth = scenarios.symbols_to_labels(symbols)
         return scenarios.bit_errors(detector(obs), truth, k) / k
 

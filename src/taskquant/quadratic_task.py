@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-10
+_FORM_ROWS = 1024     # rows per chunk of a quadratic-form evaluation
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,10 +71,23 @@ class QuadraticTask:
 
 
 def _form_values(x, forms) -> np.ndarray:
-    """x^T C x for every form C on x (n,) or (..., n), in one matrix product."""
+    """x^T C x for every form C on x (n,) or (..., n).
+
+    Rows go through in equal chunks of at most _FORM_ROWS, one matrix product
+    each, so the (rows, k n) product stays small whatever the batch. Equal
+    chunks never leave a lone row, which numpy would multiply as a vector,
+    rounded differently from the same row in a matrix product."""
     x = np.asarray(x, dtype=float)
-    y = (x @ np.concatenate(forms, axis=1)).reshape(x.shape[:-1] + np.shape(forms)[:2])
-    return np.einsum("...kj,...j->...k", y, x)
+    k, n = np.shape(forms)[:2]
+    stacked = np.concatenate(forms, axis=1)
+    rows = x.reshape(-1, x.shape[-1])
+    out = np.empty((rows.shape[0], k))
+    sections = max(1, -(-rows.shape[0] // _FORM_ROWS))
+    for chunk, part in zip(np.array_split(rows, sections),
+                           np.array_split(out, sections)):
+        y = (chunk @ stacked).reshape(-1, k, n)
+        np.einsum("rkj,rj->rk", y, chunk, out=part)
+    return out.reshape(x.shape[:-1] + (k,))
 
 
 def lift(x, input_cov) -> np.ndarray:

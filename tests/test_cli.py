@@ -189,7 +189,7 @@ def test_bound_rows_match_sweep_bound_rows(isi_config, tmp_path):
     ("sweep", {"channels = 8": "channels = 0"}, "channels"),
     ("sweep", {"support_scale = 4.0": "support_scale = -4"}, "support_scale"),
     ("sweep", {"support_scale = 4.0": "support_scale_range = 2 inf"},
-     "support_scale"),
+     "[design] support_scale_range"),
     ("simulate", {"levels = 16": "levels = 0"}, "levels"),
     ("sweep --trials 0", {}, "trials"),
     ("sweep", {"name = isi": "name = isi\ncsi_fraction = -0.5"}, "csi_fraction"),

@@ -387,3 +387,99 @@ def test_sweep_memory_does_not_grow_with_trials():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+def _counted_scenarios(monkeypatch):
+    """Make every scenario a sweep builds count its sampler's calls; returns
+    the list of per-scenario call counts, in build order."""
+    calls, build = [], harness.build_scenario
+
+    def counted(config):
+        spec = build(config)
+        sampler, slot = spec.sampler, len(calls)
+        calls.append(0)
+
+        def sample(rng, count, **kwargs):
+            calls[slot] += 1
+            return sampler(rng, count, **kwargs)
+
+        return dataclasses.replace(spec, sampler=sample)
+
+    monkeypatch.setattr(harness, "build_scenario", counted)
+    return calls
+
+
+@pytest.mark.parametrize("scenario, method", [("covariance", "task_based"),
+                                              ("isi", "digital_only")])
+def test_sampler_runs_once_per_block(monkeypatch, scenario, method):
+    calls = _counted_scenarios(monkeypatch)
+    cfg = ExperimentConfig(scenario=scenario, method=method,
+                           grid=(12.0, 24.0, 36.0) if scenario == "covariance"
+                           else (240.0, 360.0, 480.0),
+                           trials=2 * harness._BLOCK + 5, seed=5)
+    harness.sweep(cfg)
+    assert calls == [3]
+
+
+def test_snr_rows_call_one_sampler_per_point(monkeypatch):
+    calls = _counted_scenarios(monkeypatch)
+    cfg = ExperimentConfig(scenario="bpsk", method="map", axis="snr_db",
+                           grid=(6.0, 8.0, 10.0), trials=harness._BLOCK + 5,
+                           seed=5)
+    harness.sweep(cfg)
+    assert calls == [2, 2, 2]
+
+
+def _pair_sampler(rng, count):
+    g = rng.standard_normal((count, 2))
+    return g, 2.0 * g
+
+
+def test_shared_sample_is_read_only_and_keeps_later_draws_in_order():
+    def reader(rng, count):
+        tasks, obs = rng.sample(_pair_sampler, count)
+        return (obs - tasks).sum(axis=1) + rng.uniform(0.0, 1.0, count)
+
+    def writer(rng, count):
+        tasks, obs = rng.sample(_pair_sampler, count)
+        obs += 1.0
+        return obs.sum(axis=1)
+
+    for rows in ([reader, writer], [writer]):
+        with pytest.raises(ValueError):
+            harness._monte_carlo_rows(rows, 10, seed=0)
+    (a, se_a, _), (b, se_b, _) = harness._monte_carlo_rows([reader, reader],
+                                                           9000, seed=0)
+    assert (a, se_a) == (b, se_b) == harness._monte_carlo(reader, 9000, seed=0)
+
+    draws = harness._Replay(np.random.default_rng(3))
+    tasks, obs = draws.sample(_pair_sampler, 50)
+    dither = draws.uniform(0.0, 1.0, 50)
+    draws.rewind()
+    assert draws.sample(_pair_sampler, 50)[1] is obs
+    np.testing.assert_array_equal(draws.uniform(0.0, 1.0, 50), dither)
+
+
+def test_shared_sample_at_another_draw_raises():
+    draws = harness._Replay(np.random.default_rng(3))
+    draws.sample(_pair_sampler, 50)
+    draws.rewind()
+    draws.standard_normal((50, 2))
+    with pytest.raises(ValueError):
+        draws.sample(_pair_sampler, 50)
+
+
+@pytest.mark.parametrize("scenario, method, grid", [
+    ("covariance", "task_based", (12.0, 24.0, 36.0)),
+    ("covariance", "mmse_then_quantize", (12.0, 24.0, 36.0)),
+    ("covariance", "digital_only", (12.0, 24.0, 36.0)),
+    ("isi", "digital_only", (240.0, 360.0, 480.0)),
+])
+def test_shared_sample_rows_match_rows_that_sample_themselves(
+        monkeypatch, scenario, method, grid):
+    cfg = ExperimentConfig(scenario=scenario, method=method, grid=grid,
+                           trials=harness._BLOCK + 1000, seed=6)
+    shared = [row.csv_line() for row in harness.sweep(cfg)]
+    monkeypatch.setattr(harness._Replay, "sample",
+                        lambda self, sampler, count: sampler(self, count))
+    assert [row.csv_line() for row in harness.sweep(cfg)] == shared

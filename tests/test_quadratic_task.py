@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from taskquant.linear_task import design, estimate
-from taskquant.quadratic_task import (QuadraticTask, lift, lifted_covariance,
-                                      to_linear_model)
+from taskquant.quadratic_task import (QuadraticTask, _form_values, lift,
+                                      lifted_covariance, to_linear_model)
 
 
 def exp_cov(n):
@@ -163,6 +163,26 @@ def test_values_match_per_form_reference(batch):
     assert values.shape == batch + (4,)
     np.testing.assert_allclose(values, reference, rtol=1e-12,
                                atol=1e-12 * np.abs(reference).max())
+
+
+@pytest.mark.parametrize("shape", [(2, 0), (1, 1), (3, 341), (2, 512),
+                                   (5, 205), (3, 1000)])
+def test_chunked_form_values_match_one_product(shape):
+    # 0, 1, 1023, 1024, 1025 and 3000 rows, around the 1024-row chunks
+    rng = np.random.default_rng(9)
+    forms = tuple(0.5 * (m + m.T) for m in rng.standard_normal((4, 6, 6)))
+    for x in (rng.standard_normal(shape + (6,)), rng.standard_normal(6)):
+        rows = x.reshape(-1, 6)
+        reference = np.array([[row @ c @ row for c in forms]
+                              for row in rows]).reshape(-1, 4)
+        unchunked = np.einsum("...kj,...j->...k", (x @ np.concatenate(
+            forms, axis=1)).reshape(x.shape[:-1] + (4, 6)), x)
+        values = _form_values(x, forms)
+        assert values.shape == x.shape[:-1] + (4,)
+        np.testing.assert_array_equal(values, unchunked)
+        np.testing.assert_allclose(values.reshape(-1, 4), reference,
+                                   rtol=1e-12,
+                                   atol=1e-12 * np.abs(reference).max(initial=1.0))
 
 
 def test_lifted_estimate_matches_estimate_on_the_lift():
