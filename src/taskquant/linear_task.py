@@ -10,6 +10,7 @@ trace formula must reproduce.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -90,6 +91,11 @@ class LinearTaskModel:
         g = self.task_matrix
         return g @ self.obs_cov @ g.T
 
+    @cached_property
+    def estimate_trace(self) -> float:
+        """trace(estimate_covariance()), computed once per model."""
+        return float(np.trace(self.estimate_covariance()))
+
     def sqrt_pair(self, floor_ratio: float = 1e-12):
         """Symmetric square root and inverse square root of obs_cov.
 
@@ -168,8 +174,7 @@ def _wiener_solve(analog, model: LinearTaskModel, support: float, levels: int):
 
 
 def _excess(model: LinearTaskModel, cross, solved) -> float:
-    total = np.trace(model.estimate_covariance())
-    return float(total - np.einsum("ij,ij->", cross, solved))
+    return float(model.estimate_trace - np.einsum("ij,ij->", cross, solved))
 
 
 def optimal_digital(analog, model: LinearTaskModel, support: float,
@@ -218,8 +223,7 @@ def mse_with_digital(analog, digital, model: LinearTaskModel, support: float,
     """Excess MSE of the pipeline with an arbitrary (not re-optimized) digital matrix."""
     b = np.atleast_2d(np.asarray(digital, dtype=float))
     gram, cross = _combined_moments(analog, model, support, levels)
-    total = np.trace(model.estimate_covariance())
-    return float(total - 2.0 * np.einsum("ij,ji->", b, cross)
+    return float(model.estimate_trace - 2.0 * np.einsum("ij,ji->", b, cross)
                  + np.einsum("ij,jk,ik->", b, gram, b))
 
 
@@ -238,9 +242,9 @@ def waterfill(singvals, margin: float, levels: int, channels: int):
     s = np.asarray(singvals, dtype=float)
     if s.ndim != 1:
         raise ValueError("singular values must be a vector")
-    if s.size and np.any(np.diff(s) > 1e-12 * max(s.max(), 1.0)):
+    if s.size and (s[1:] - s[:-1] > 1e-12 * max(s.max(), 1.0)).any():
         raise ValueError("singular values must be sorted descending")
-    s = np.clip(s, 0.0, None)
+    s = np.maximum(s, 0.0)
     padded = np.zeros(channels)
     padded[:min(channels, s.size)] = s[:channels]
     positive = padded[padded > 0]
@@ -249,12 +253,12 @@ def waterfill(singvals, margin: float, levels: int, channels: int):
 
     coef = 2.0 * margin / (3.0 * levels ** 2 * channels)
     target = 1.0 / coef
-    csum = np.cumsum(positive)
+    csum, positive = np.cumsum(positive).tolist(), positive.tolist()
     # stop at the first m whose waterline leaves mode m + 1 dry; mode m is
     # wet there: z_1 s_1 = target + 1, and z_{m-1} s_m > 1 gives z_m s_m > 1
-    for m in range(1, positive.size + 1):
+    for m in range(1, len(positive) + 1):
         waterline = (target + m) / csum[m - 1]
-        if m == positive.size or waterline * positive[m] <= 1.0 + 1e-12:
+        if m == len(positive) or waterline * positive[m] <= 1.0 + 1e-12:
             break
 
     gains = np.sqrt(coef * np.maximum(waterline * padded - 1.0, 0.0))
@@ -264,9 +268,12 @@ def waterfill(singvals, margin: float, levels: int, channels: int):
 def equalizing_rotation(diag_values) -> np.ndarray:
     """Orthogonal U such that U diag(d) U^T has a constant diagonal.
 
-    Built from at most p-1 Givens rotations: each rotation pairs the current
-    largest and smallest diagonal entries and sets one of them exactly to the
-    mean, which then never moves again.
+    Built from at most p-1 Givens rotations: each pairs the largest and
+    smallest diagonal entries of the still-active channels and sets the
+    largest exactly to the mean, which freezes it. Two active channels never
+    couple (a pair's survivor gains off-diagonal entries only with frozen
+    channels), so a step costs one 2 x 2 block product for the survivor's new
+    entry and an update of two rows of U; no p x p matrix is rotated.
     """
     d = np.asarray(diag_values, dtype=float)
     if d.ndim == 2:
@@ -274,40 +281,32 @@ def equalizing_rotation(diag_values) -> np.ndarray:
         if np.abs(off).max() > 1e-12 * max(np.abs(d).max(), 1.0):
             raise ValueError("input matrix must be diagonal")
         d = np.diag(d).copy()
-    if np.any(d < -1e-12 * max(np.abs(d).max(), 1.0)):
-        raise ValueError("diagonal entries must be nonnegative")
+    top = float(np.abs(d).max())
+    if not (math.isfinite(top) and d.min() >= -1e-12 * max(top, 1.0)):
+        raise ValueError("diagonal entries must be finite and nonnegative")
     p = d.size
     u = np.eye(p)
-    if p == 1:
-        return u
-    s = np.diag(np.clip(d, 0.0, None)).astype(float)
-    t = np.trace(s) / p
-    scale = max(abs(t), np.abs(d).max(), 1.0)
-    active = np.ones(p, dtype=bool)
+    clipped = np.maximum(d, 0.0)
+    t = float(clipped.sum()) / p
+    scale = max(abs(t), top, 1.0)
+    active, vals = list(range(p)), clipped.tolist()
     for _ in range(p - 1):
-        idx = np.flatnonzero(active)
-        vals = s.diagonal()[idx]
-        if vals.max() - vals.min() < 1e-9 * scale:
+        hi, lo = max(vals), min(vals)
+        if hi - lo < 1e-9 * scale:
             break
-        i = idx[np.argmax(vals)]
-        j = idx[np.argmin(vals)]
-        # pick tan(theta) so that entry i lands exactly on the mean
-        qa, qb, qc = s[j, j] - t, 2.0 * s[i, j], s[i, i] - t
-        if abs(qa) < 1e-300:
-            tan = -qc / qb
-        else:
-            disc = np.sqrt(max(qb * qb - 4.0 * qa * qc, 0.0))
-            r1 = (-qb + disc) / (2.0 * qa)
-            r2 = (-qb - disc) / (2.0 * qa)
-            tan = r1 if abs(r1) <= abs(r2) else r2
-        c = 1.0 / np.sqrt(1.0 + tan * tan)
+        a, b = vals.index(hi), vals.index(lo)     # first occurrences
+        # rotations keep the trace, so with the spread above rounding the
+        # active minimum is below the mean: qa < 0 and tan is finite
+        qa, qc = lo - t, hi - t
+        tan = math.sqrt(max(0.0, -4.0 * qa * qc)) / (2.0 * qa)
+        c = 1.0 / math.sqrt(1.0 + tan * tan)
         w = tan * c
         gi = np.array([[c, w], [-w, c]])
-        pair = [i, j]
-        s[pair, :] = gi @ s[pair, :]
-        s[:, pair] = s[:, pair] @ gi.T
+        # BLAS rounds these products with FMA; Python floats would not
+        vals[b] = float((gi @ np.array([[hi, 0.0], [0.0, lo]]) @ gi.T)[1, 1])
+        pair = [active[a], active[b]]
         u[pair, :] = gi @ u[pair, :]
-        active[i] = False
+        del active[a], vals[a]
     return u
 
 
@@ -339,12 +338,13 @@ def design(model: LinearTaskModel, channels: int, levels: int,
     # keep the shapes, and so the rounding, they have over a full basis
     basis = np.zeros((channels, model.n))
     basis[:min(channels, sing.size)] = vt[:channels]
-    rotation = equalizing_rotation(gains ** 2)
+    power = gains ** 2
+    rotation = equalizing_rotation(power)
     analog = rotation @ (gains[:, None] * basis) @ inv_root
 
     spec = UniformQuantizerSpec(levels=levels, support=support, dithered=True)
     # Wiener gain in the rotated water-filled coordinates: diagonal, cheap
-    wiener = gains / (gains ** 2 + noise_variance(spec))
+    wiener = gains / (power + noise_variance(spec))
     wide = min(channels, model.n)
     projected = np.zeros((model.k, channels))
     projected[:, :wide] = whitened @ basis[:wide].T

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from taskquant import linear_task, scenarios
 from taskquant.errors import NumericalError
 from taskquant.hardware import PhaseOnly, constrained_design
 from taskquant.linear_task import (LinearTaskModel, _fix_svd_signs, design,
@@ -176,7 +177,7 @@ def reference_rotation(d):
     return u
 
 
-def test_rotation_matches_reference_bytes():
+def rotation_byte_cases():
     rng = np.random.default_rng(16)
     for trial in range(400):
         p = int(rng.integers(1, 60))
@@ -185,12 +186,31 @@ def test_rotation_matches_reference_bytes():
             d[rng.random(p) < 0.3] = 0.0
         if trial % 3 == 2:      # repeated entries
             d = rng.choice(d[: max(p // 3, 1)], p)
-        assert equalizing_rotation(d).tobytes() == reference_rotation(d).tobytes()
+        yield d
+    for p in range(1, 65):
+        yield rng.uniform(0, 5, p)
+        yield np.full(p, 2.5)                   # equal: breaks before any rotation
+        single = np.zeros(p)
+        single[rng.integers(p)] = 3.0           # one nonzero entry
+        yield single
+
+
+def test_rotation_matches_reference_bytes():
+    for d in rotation_byte_cases():
+        expected = reference_rotation(d).tobytes()
+        assert equalizing_rotation(d).tobytes() == expected
+        assert equalizing_rotation(np.diag(d)).tobytes() == expected
 
 
 def test_rotation_rejects_off_diagonal():
     with pytest.raises(ValueError):
         equalizing_rotation(np.array([[1.0, 0.5], [0.5, 2.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_rotation_rejects_non_finite_or_negative(bad):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        equalizing_rotation(np.array([1.0, bad, 2.0]))
 
 
 def test_design_self_consistency_and_equalization():
@@ -349,6 +369,49 @@ def test_constrained_after_design_factors_once(monkeypatch):
     constrained_design(model, PhaseOnly(), 3, 8, 3.0)
     recommend_quantizers(model)
     assert len(calls) == 1
+
+
+def design_outputs(model, channels, levels, scale):
+    out = []
+    for des in (design(model, channels, levels, scale),
+                constrained_design(model, PhaseOnly(), channels, levels, scale)):
+        out += [des.analog.tobytes(), des.digital.tobytes(),
+                repr(des.quantizer.support), repr(des.predicted_excess_mse)]
+    return out
+
+
+def test_design_bytes_match_reference_rotation(monkeypatch):
+    rng = np.random.default_rng(202)
+    cases = [(scenarios.isi_scenario().model, 8, 16, 4.0),
+             (scenarios.dft_pilot_scenario().model, 40, 8, 4.0)]
+    lifted = scenarios.covariance_scenario().lifted.model
+    cases.append((lifted, lifted.k, 4, 3.0))
+    for _ in range(50):     # drawn as in acceptance criterion 2
+        model = random_model(rng)
+        levels = int(rng.choice([2, 4, 8, 16]))
+        cases.append((model, int(rng.integers(1, model.k + 3)), levels,
+                      min(4.0, 0.95 * np.sqrt(3) * levels)))
+    ours = [design_outputs(*case) for case in cases]
+    monkeypatch.setattr(linear_task, "equalizing_rotation", reference_rotation)
+    assert [design_outputs(*case) for case in cases] == ours
+
+
+def test_estimate_trace_is_computed_once(monkeypatch):
+    calls = []
+    original = LinearTaskModel.estimate_covariance
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(LinearTaskModel, "estimate_covariance", counted)
+    model = random_model(np.random.default_rng(25), n=8, k=3)
+    des = design(model, 3, 8, 3.0)
+    excess_mse(des.analog, model, des.quantizer.support, 8)
+    mse_with_digital(des.analog, des.digital, model, des.quantizer.support, 8)
+    constrained_design(model, PhaseOnly(), 3, 8, 3.0)
+    assert len(calls) == 1
+    assert model.estimate_trace == np.trace(original(model))
 
 
 def test_estimate_deterministic_pipeline():
