@@ -239,7 +239,10 @@ def _squared_errors(scenario, predict):
     """Block function (rng, count) -> per-trial squared task error."""
     def block(rng, count):
         tasks, obs = rng.sample(scenario.sampler, count)
-        return ((tasks - predict(obs, rng)) ** 2).sum(axis=1)
+        err = predict(obs, rng)
+        err -= tasks
+        np.square(err, out=err)
+        return err.sum(axis=1)
 
     return block
 
@@ -251,12 +254,14 @@ def _design_errors(scenario, des: QuantizerDesign, dither: bool):
     task's conditional mean plus its closed-form residual (the same expected
     error, from p normals per trial instead of k + n, and with no more
     variance), so the n-dimensional observation is never built; quadratic
-    scenarios draw x and evaluate the combiner rows as quadratic forms on it.
+    scenarios draw x and evaluate the combiner rows as quadratic forms on it,
+    built once per row (`LiftedTaskModel.combiner`).
     """
     if scenario.kind == "quadratic":
         lifted = scenario.lifted
+        combiner = lifted.combiner(des)
         return _squared_errors(scenario, lambda x, rng: lifted.estimate(
-            des, x, rng=rng, dither=dither))
+            des, x, rng=rng, dither=dither, combiner=combiner))
     law = scenario.conditional_law(des.analog)
     _, mean_map, residual = law
 
@@ -359,8 +364,10 @@ def _mse_predictor(config: ExperimentConfig, scenario, bits: float):
 
             def block(rng, count):  # the tasks are their own MMSE estimate
                 tasks = rng.sample(scenario.sampler, count)[0]
-                quantized = _quantize_batch(tasks, spec, rng, config.dither)
-                return ((tasks - quantized) ** 2).sum(axis=1)
+                err = _quantize_batch(tasks, spec, rng, config.dither)
+                err -= tasks
+                np.square(err, out=err)
+                return err.sum(axis=1)
             return block, spec, realized
         des = fixed_combiner_design(model.task_matrix, model, levels, scale)
         return _design_errors(scenario, des, config.dither), des, realized
@@ -407,10 +414,19 @@ class _Replay:
     as low + (high - low) r, bit for bit what `Generator.uniform` returns, so
     rows may differ in their bounds. `sample` shares a sampler's outputs the
     same way, so its deterministic work also runs once per block.
+
+    `previous` is the draw list of the block before. A `standard_normal` or
+    `random` call that matches that block's call at the same position is
+    drawn into that block's array (the Generator's `out=`, the same values)
+    instead of a new one, so full blocks reuse their draw buffers; `integers`
+    draws and a block of another size allocate. Rows finish a block before the
+    next block draws, so no row sees an array change under it, and a refilled
+    array is read-only again before any row gets it.
     """
 
-    def __init__(self, rng: np.random.Generator):
+    def __init__(self, rng: np.random.Generator, previous=()):
         self._rng = rng
+        self._previous = previous
         self._draws = []        # (call, array) in call order
         self._samples = {}      # sampler -> (count, first draw, end, outputs)
         self._next = 0
@@ -418,14 +434,31 @@ class _Replay:
 
     def rewind(self):
         """Start the next row at the first recorded draw."""
-        self._next, self._recording = 0, False
+        self._next, self._recording, self._previous = 0, False, ()
+
+    def _refill(self, call):
+        """The previous block's array for `call` at this position, refilled
+        from `rng`; None for an `integers` call, or where that block drew
+        otherwise, which also releases its arrays before this block's."""
+        at = len(self._draws)
+        if at >= len(self._previous) or self._previous[at][0] != call:
+            self._previous = ()
+            return None
+        if call[0] == "integers":
+            return None
+        values = self._previous[at][1]
+        values.flags.writeable = True
+        getattr(self._rng, call[0])(out=values)
+        return values
 
     def _take(self, call, draw):
         if self._next == len(self._draws):
             if not self._recording:
                 raise ValueError(f"replayed row asks for {call}, beyond the "
                                  f"first row's draws")
-            values = np.asarray(draw())
+            values = self._refill(call)
+            if values is None:
+                values = np.asarray(draw())
             values.flags.writeable = False
             self._draws.append((call, values))
         recorded, values = self._draws[self._next]
@@ -444,8 +477,10 @@ class _Replay:
                           lambda: self._rng.integers(low, high, size=size))
 
     def uniform(self, low, high, size):
-        r = self._take(("random", size), lambda: self._rng.random(size))
-        return low + (high - low) * r
+        u = np.multiply(self._take(("random", size),
+                                   lambda: self._rng.random(size)), high - low)
+        u += low
+        return u
 
     def sample(self, sampler, count):
         """sampler(self, count), run once per block for each sampler object.
@@ -488,11 +523,13 @@ def _monte_carlo_rows(blocks, trials: int, seed: int):
     sampling. One trial has no standard error (nan).
     """
     stats = [[0.0, 0.0, 0.0] for _ in blocks]   # mean, M2, seconds
-    done = 0
+    done, recorded = 0, ()
     for idx in range(-(-trials // _BLOCK)):
         count = min(_BLOCK, trials - done)
         total = done + count
-        draws = _Replay(np.random.default_rng(np.random.SeedSequence([seed, idx])))
+        draws = _Replay(np.random.default_rng(np.random.SeedSequence([seed, idx])),
+                        recorded)
+        recorded = draws._draws
         for block, row in zip(blocks, stats):
             start = time.perf_counter()
             values = block(draws, count)
@@ -643,16 +680,20 @@ def _snr_point(config: ExperimentConfig, snr_db: float):
 def _ber_block(config: ExperimentConfig, snr_db: float):
     """Block function (rng, count) -> per-trial bit error fractions of the
     configured reference detector at snr_db. Every point draws the same
-    symbols and standard noise, scaled by the point's noise std."""
+    symbols and standard noise, scaled by the point's noise std. The
+    detector's constants are built here, once per point, not once per block."""
     point, bits = _snr_point(config, snr_db)
     if config.method == "map":
-        return _bit_error_fractions(lambda x: scenarios.map_detect(x, point), point)
+        weights = scenarios.map_weights(point)
+        return _bit_error_fractions(
+            lambda x: scenarios.map_detect(x, point, weights), point)
     if config.method == "quantized_map":
         levels = levels_for(bits, point.n, floor_at_two=True)
         std = np.sqrt(np.diag(point.mixing @ point.mixing.T) + point.noise_var)
         support = feasible_support_scale(config.support_scale, levels) * std.max()
-        return _bit_error_fractions(
-            lambda x: scenarios.quantized_map_detect(x, point, levels, support), point)
+        table = scenarios.QuantizedMapTable(point, levels, support)
+        return _bit_error_fractions(lambda x: scenarios.quantized_map_detect(
+            x, point, levels, support, table), point)
     raise ConfigError(f"[sweep] method: {config.method!r} does not produce BER rows")
 
 

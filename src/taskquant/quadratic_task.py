@@ -11,6 +11,7 @@ positive definite for a positive definite input covariance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,28 +66,37 @@ class QuadraticTask:
     def k(self) -> int:
         return len(self.forms)
 
+    @cached_property
+    def stacked_forms(self) -> np.ndarray:
+        """The forms side by side, [C_1 ... C_k] of shape (n, k n), built
+        once per task."""
+        return np.concatenate(self.forms, axis=1)
+
     def values(self, x) -> np.ndarray:
         """Evaluate all quadratic forms on one observation or a batch."""
-        return _form_values(x, self.forms)
+        return _form_values(x, self.stacked_forms)
 
 
-def _form_values(x, forms) -> np.ndarray:
-    """x^T C x for every form C on x (n,) or (..., n).
+def _form_values(x, stacked) -> np.ndarray:
+    """x^T C_i x for every form in stacked = [C_1 ... C_k], of shape (n, k n),
+    on x (n,) or (..., n).
 
     Rows go through in equal chunks of at most _FORM_ROWS, one matrix product
-    each, so the (rows, k n) product stays small whatever the batch. Equal
-    chunks never leave a lone row, which numpy would multiply as a vector,
-    rounded differently from the same row in a matrix product."""
+    each into one reused buffer, so the (rows, k n) product stays small
+    whatever the batch. Equal chunks never leave a lone row, which numpy would
+    multiply as a vector, rounded differently from the same row in a matrix
+    product."""
     x = np.asarray(x, dtype=float)
-    k, n = np.shape(forms)[:2]
-    stacked = np.concatenate(forms, axis=1)
+    n = stacked.shape[0]
+    k = stacked.shape[1] // n
     rows = x.reshape(-1, x.shape[-1])
     out = np.empty((rows.shape[0], k))
     sections = max(1, -(-rows.shape[0] // _FORM_ROWS))
-    for chunk, part in zip(np.array_split(rows, sections),
-                           np.array_split(out, sections)):
-        y = (chunk @ stacked).reshape(-1, k, n)
-        np.einsum("rkj,rj->rk", y, chunk, out=part)
+    chunks = np.array_split(rows, sections)     # the largest chunk first
+    products = np.empty((chunks[0].shape[0], stacked.shape[1]))
+    for chunk, part in zip(chunks, np.array_split(out, sections)):
+        y = np.matmul(chunk, stacked, out=products[:chunk.shape[0]])
+        np.einsum("rkj,rj->rk", y.reshape(-1, k, n), chunk, out=part)
     return out.reshape(x.shape[:-1] + (k,))
 
 
@@ -128,16 +138,27 @@ class LiftedTaskModel:
     offsets: np.ndarray
     input_cov: np.ndarray
 
-    def estimate(self, design_: QuantizerDesign, x,
-                 rng: np.random.Generator | None = None,
-                 dither: bool | None = None) -> np.ndarray:
-        """Combiner row a as triangle F: a . lift(x) = x^T F x - a . cov_{i<=j}."""
+    def combiner(self, design_: QuantizerDesign):
+        """(stacked forms, centering shift) of design_'s combiner rows: row a
+        acts as the triangle F with a . lift(x) = x^T F x - a . cov_{i<=j}.
+        Built once per design and passed to `estimate` for many batches."""
         iu, ju = np.triu_indices(len(self.input_cov))
         forms = np.zeros((design_.channels,) + self.input_cov.shape)
         forms[:, iu, ju] = design_.analog
-        combined = _form_values(x, forms) - design_.analog @ self.input_cov[iu, ju]
-        return estimate(design_, combined, rng=rng, dither=dither,
-                        combined=True) + self.offsets
+        return (np.concatenate(forms, axis=1),
+                design_.analog @ self.input_cov[iu, ju])
+
+    def estimate(self, design_: QuantizerDesign, x,
+                 rng: np.random.Generator | None = None,
+                 dither: bool | None = None, combiner=None) -> np.ndarray:
+        """The pipeline on the lift of x, through the quadratic forms of
+        `combiner` (`self.combiner(design_)`, built here when not given)."""
+        stacked, shift = self.combiner(design_) if combiner is None else combiner
+        combined = _form_values(x, stacked)
+        combined -= shift
+        out = estimate(design_, combined, rng=rng, dither=dither, combined=True)
+        out += self.offsets
+        return out
 
 
 def to_linear_model(task: QuadraticTask) -> LiftedTaskModel:

@@ -28,7 +28,6 @@ __all__ = [
     "bpsk_scenario",
     "csi_perturb",
     "symbols_to_labels",
-    "labels_to_symbols",
     "bit_errors",
 ]
 
@@ -99,7 +98,9 @@ class ScenarioSpec:
 
 def _observe(mixing, s, noise_std, rng) -> np.ndarray:
     """x = s H^T + noise_std * w, with w standard normal from rng."""
-    return s @ mixing.T + noise_std * rng.standard_normal((s.shape[0], mixing.shape[0]))
+    x = s @ mixing.T
+    x += noise_std * rng.standard_normal((s.shape[0], mixing.shape[0]))
+    return x
 
 
 def _mixing_sampler(draw_tasks, mixing, noise_var):
@@ -211,10 +212,6 @@ def symbols_to_labels(symbols) -> np.ndarray:
     return ((s + 1) / 2).astype(int) @ 2 ** np.arange(s.shape[1] - 1, -1, -1)
 
 
-def labels_to_symbols(labels, k: int) -> np.ndarray:
-    return _symbol_table(k)[np.asarray(labels, dtype=int)]
-
-
 def bit_errors(predicted_labels, true_labels, k: int) -> np.ndarray:
     """Per-trial count of the k label bits that differ."""
     diff = np.bitwise_xor(np.asarray(predicted_labels, dtype=int),
@@ -245,20 +242,61 @@ def bpsk_scenario(snr: float) -> ScenarioSpec:
                         draw_tasks=draw_tasks)
 
 
-def map_detect(observations, scenario: ScenarioSpec) -> np.ndarray:
+def map_weights(scenario: ScenarioSpec):
+    """(2 M^T, energies ||m_u||^2) of the class means m_u = H s_u, the rows of
+    M: the scenario's half of `map_detect`, built once for many batches."""
+    means = scenario.symbols @ scenario.mixing.T          # classes x n
+    return 2.0 * means.T, np.einsum("un,un->u", means, means)
+
+
+def map_detect(observations, scenario: ScenarioSpec, weights=None) -> np.ndarray:
     """Exhaustive max-likelihood labels from unquantized observations.
 
     Hypothesis u with class mean m_u = H s_u scores x . 2 m_u - ||m_u||^2
     (-||x - m_u||^2 up to the shared ||x||^2): one (count x n) @ (n x classes)
-    product. Non-finite observations raise ValueError."""
+    product. `weights` is `map_weights(scenario)`, built here when not given.
+    Non-finite observations raise ValueError."""
     x = np.atleast_2d(_check_finite(observations))
-    means = scenario.symbols @ scenario.mixing.T          # classes x n
-    scores = x @ (2.0 * means.T) - np.einsum("un,un->u", means, means)
+    doubled, energies = map_weights(scenario) if weights is None else weights
+    scores = x @ doubled
+    scores -= energies
     return np.argmax(scores, axis=1)
 
 
+class QuantizedMapTable:
+    """The (scenario, levels, support) constants of `quantized_map_detect`,
+    built once for many batches: the ADC spec, the (n L x classes) table of
+    log cell probabilities and each antenna's first row in it, plus the CSR
+    row structure of the cell indicator (one unit entry per antenna), kept
+    for the largest batch so far and sliced for smaller ones."""
+
+    def __init__(self, scenario: ScenarioSpec, levels: int, support: float):
+        # Deferred: scipy.special alone is about half of a cold start, and no
+        # other path in the package needs scipy.
+        from scipy.special import ndtr
+        self.spec = UniformQuantizerSpec(levels, support)
+        edges = -support + self.spec.spacing * np.arange(1, levels)  # interior
+        bounds = np.concatenate([[-np.inf], edges, [np.inf]])[None, :, None]
+        means = (scenario.symbols @ scenario.mixing.T).T[:, None, :]  # n x 1 x classes
+        cdf = ndtr((bounds - means) / np.sqrt(scenario.noise_var))
+        table = np.log(np.maximum(cdf[:, 1:] - cdf[:, :-1], 1e-300))
+        self.log_probs = table.reshape(-1, table.shape[2])
+        self.first_rows = levels * np.arange(scenario.n, dtype=np.int32)
+        self._ones = np.empty(0)
+        self._starts = np.zeros(1, dtype=np.int32)
+
+    def structure(self, count: int):
+        """(unit data, row pointers) of a count-row indicator."""
+        n = self.first_rows.size
+        if self._starts.size <= count:
+            index = np.int32 if count * n < 2 ** 31 else np.intp
+            self._ones = np.ones(count * n)
+            self._starts = np.arange(0, count * n + 1, n, dtype=index)
+        return self._ones[:count * n], self._starts[:count + 1]
+
+
 def quantized_map_detect(observations, scenario: ScenarioSpec, levels: int,
-                         support: float) -> np.ndarray:
+                         support: float, table=None) -> np.ndarray:
     """Exhaustive max-likelihood labels from per-antenna uniform quantizer cells:
     the true task-ignorant detector for a digital-only receiver.
 
@@ -266,23 +304,20 @@ def quantized_map_detect(observations, scenario: ScenarioSpec, levels: int,
     of log P(cell | m_u), from exact Gaussian cell probabilities (outer cells
     absorb the saturated tails): one product of a sparse (count x n L) cell
     indicator, one entry per antenna, with the (n L x classes) table of log
-    cell probabilities. Non-finite observations raise ValueError."""
-    # Deferred: scipy.special alone is about half of a cold start, and no
-    # other path in the package needs scipy.
+    cell probabilities. `table` is `QuantizedMapTable(scenario, levels,
+    support)`, built here when not given. Non-finite observations raise
+    ValueError."""
     from scipy.sparse import csr_array
-    from scipy.special import ndtr
-    spec = UniformQuantizerSpec(levels, support)
+    if table is None:
+        table = QuantizedMapTable(scenario, levels, support)
     x = np.atleast_2d(_check_finite(np.array(observations, dtype=float)))
-    count, n = x.shape
-    edges = -support + spec.spacing * np.arange(1, levels)   # interior edges
-    bounds = np.concatenate([[-np.inf], edges, [np.inf]])[None, :, None]
-    means = (scenario.symbols @ scenario.mixing.T).T[:, None, :]  # n x 1 x classes
-    cdf = ndtr((bounds - means) / np.sqrt(scenario.noise_var))
-    table = np.log(np.maximum(cdf[:, 1:] - cdf[:, :-1], 1e-300))
-    rows = _to_cells(x, spec).astype(np.intp) + levels * np.arange(n)
-    indicator = csr_array((np.ones(count * n), rows.ravel(), np.arange(0, count * n + 1, n)),
-                          shape=(count, n * levels))
-    return np.argmax(indicator @ table.reshape(-1, table.shape[2]), axis=1)
+    count = x.shape[0]
+    ones, starts = table.structure(count)
+    index = _to_cells(x, table.spec).astype(starts.dtype)
+    index += table.first_rows
+    indicator = csr_array((ones, index.ravel(), starts),
+                          shape=(count, table.log_probs.shape[0]))
+    return np.argmax(indicator @ table.log_probs, axis=1)
 
 
 def csi_perturb(scenario: ScenarioSpec, fraction: float, seed: int) -> ScenarioSpec:

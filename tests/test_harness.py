@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from taskquant import harness, io, scenarios
+from taskquant import harness, io, quadratic_task, scenarios
 from taskquant.errors import ConfigError
 from taskquant.harness import ExperimentConfig
 from taskquant.linear_task import design, estimate
@@ -360,6 +360,76 @@ def test_rows_share_draws_read_only_and_in_call_order():
     (a, se_a, _), (b, se_b, _) = harness._monte_carlo_rows([reader, reader],
                                                            9000, seed=0)
     assert (a, se_a) == (b, se_b) == harness._monte_carlo(reader, 9000, seed=0)
+
+    seen = []
+
+    def second_block_writer(rng, count):
+        g = rng.standard_normal((count, 2))
+        seen.append(g)
+        if len(seen) == 2:
+            g += 1.0
+        return g.sum(axis=1)
+
+    with pytest.raises(ValueError):
+        harness._monte_carlo_rows([second_block_writer], 2 * harness._BLOCK,
+                                  seed=0)
+    assert seen[1] is seen[0]          # block 2 drew into block 1's array
+
+
+@pytest.mark.parametrize("scenario, method, grid", [
+    ("isi", "task_based", (16.0, 24.0, 32.0)),
+    ("covariance", "task_based", (12.0, 24.0, 36.0)),
+    ("covariance", "digital_only", (12.0, 24.0, 36.0)),
+    ("bpsk", "map", (6.0, 8.0, 10.0)),
+    ("bpsk", "quantized_map", (6.0, 8.0, 10.0)),
+])
+def test_refilled_draws_leave_every_row_unchanged(monkeypatch, scenario,
+                                                  method, grid):
+    # three full blocks refill the previous block's draw arrays; the short
+    # fourth block allocates its own
+    snr = scenario == "bpsk"
+    cfg = ExperimentConfig(scenario=scenario, method=method, grid=grid,
+                           axis="snr_db" if snr else "rate_bits",
+                           snr_db=10.0 if snr else None, channels=None if snr else 8,
+                           trials=3 * harness._BLOCK + 5, seed=4)
+    refill, refilled = harness._Replay._refill, []
+
+    def counted(self, call):
+        values = refill(self, call)
+        refilled.append(values is not None)
+        return values
+
+    monkeypatch.setattr(harness._Replay, "_refill", counted)
+    lines = [row.csv_line() for row in harness.sweep(cfg)]
+    assert any(refilled)
+    monkeypatch.setattr(harness._Replay, "_refill", lambda self, call: None)
+    assert [row.csv_line() for row in harness.sweep(cfg)] == lines
+
+
+def test_row_constants_are_built_once_per_grid_point(monkeypatch):
+    builds = {"QuantizedMapTable": 0, "map_weights": 0, "combiner": 0}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            builds[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(scenarios, "QuantizedMapTable")
+    count(scenarios, "map_weights")
+    count(quadratic_task.LiftedTaskModel, "combiner")
+    trials = 3 * harness._BLOCK + 5
+    for method in ("map", "quantized_map"):
+        harness.sweep(ExperimentConfig(scenario="bpsk", method=method,
+                                       axis="snr_db", grid=(6.0, 8.0, 10.0),
+                                       snr_db=10.0, trials=trials, seed=4))
+    harness.sweep(ExperimentConfig(scenario="covariance", method="task_based",
+                                   grid=(12.0, 24.0, 36.0), trials=trials,
+                                   seed=4))
+    assert builds == {"QuantizedMapTable": 3, "map_weights": 3, "combiner": 3}
 
 
 def test_replayed_uniform_is_the_generators_uniform():

@@ -462,3 +462,27 @@ def test_ill_conditioned_gram_reports_condition():
     with pytest.raises(NumericalError) as err:
         optimal_digital(np.eye(2), model, support=1e-12, levels=2 ** 30)
     assert err.value.condition_number is not None
+
+
+@pytest.mark.parametrize("factor", [1.01, 0.99])
+def test_wiener_solve_guard_at_the_condition_limit(factor):
+    # A = I on diag(1, 1e-300) gives the Gram diag(1 + s2, s2) with s2 the
+    # 2-level ADC noise variance S^2 / 6, so its condition number is 1 + 1/s2
+    model = LinearTaskModel(obs_cov=np.diag([1.0, 1e-300]), task_matrix=np.eye(2))
+    support = np.sqrt(6.0 / (factor * linear_task._COND_LIMIT - 1.0))
+    if factor > 1:
+        with pytest.raises(NumericalError) as err:
+            linear_task._wiener_solve(np.eye(2), model, support, 2)
+        assert err.value.condition_number == pytest.approx(
+            factor * linear_task._COND_LIMIT)
+        return
+    gram, _ = linear_task._combined_moments(np.eye(2), model, support, 2)
+    cross, solved = linear_task._wiener_solve(np.eye(2), model, support, 2)
+    np.testing.assert_allclose(gram @ solved, cross, rtol=1e-12, atol=1e-14)
+
+
+def test_wiener_solve_rejects_a_non_finite_gram():
+    model = LinearTaskModel(obs_cov=np.eye(2), task_matrix=np.eye(2))
+    with np.errstate(over="ignore"), pytest.raises(NumericalError):
+        # (1e200)^2 overflows: the Gram's first entry is inf
+        linear_task._wiener_solve(np.diag([1e200, 1.0]), model, 1.0, 4)

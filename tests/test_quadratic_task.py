@@ -177,7 +177,7 @@ def test_chunked_form_values_match_one_product(shape):
                               for row in rows]).reshape(-1, 4)
         unchunked = np.einsum("...kj,...j->...k", (x @ np.concatenate(
             forms, axis=1)).reshape(x.shape[:-1] + (4, 6)), x)
-        values = _form_values(x, forms)
+        values = _form_values(x, np.concatenate(forms, axis=1))
         assert values.shape == x.shape[:-1] + (4,)
         np.testing.assert_array_equal(values, unchunked)
         np.testing.assert_allclose(values.reshape(-1, 4), reference,
