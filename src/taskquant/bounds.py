@@ -8,11 +8,12 @@ scalar-ADC pipeline must sit on or above it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .linear_task import _regularized_gram
 
 __all__ = ["SpectrumBound", "gaussian_mmse", "indirect_drf"]
 
@@ -27,11 +28,14 @@ class SpectrumBound:
 
     def __post_init__(self):
         eig = np.atleast_1d(np.asarray(self.eigenvalues, dtype=float))
-        if not np.all(np.isfinite(np.append(eig, [self.mmse_floor, self.rate_bits]))):
+        # numpy's min and max propagate NaN, so they are finite iff all are
+        low, top = eig.min(initial=0.0), eig.max(initial=1.0)
+        if not all(map(math.isfinite, (low, top, self.mmse_floor, self.rate_bits))):
             raise ValueError("eigenvalues, mmse_floor and rate_bits must be finite")
-        if np.any(eig < 0):
+        if low < 0:
             raise ValueError("eigenvalues must be nonnegative")
-        if eig.size > 1 and np.any(np.diff(eig) > 1e-12 * max(eig.max(), 1.0)):
+        vals = eig.tolist()
+        if any(b - a > 1e-12 * top for a, b in zip(vals, vals[1:])):
             raise ValueError("eigenvalues must be sorted descending")
         if self.mmse_floor < 0:
             raise ValueError("mmse_floor must be nonnegative")
@@ -52,12 +56,9 @@ def gaussian_mmse(mixing, prior_cov, noise_var: float):
     cov_s = np.atleast_2d(np.asarray(prior_cov, dtype=float))
     if noise_var <= 0:
         raise ValueError(f"noise variance must be positive, got {noise_var}")
-    gram = h @ cov_s @ h.T + noise_var * np.eye(h.shape[0])
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise NumericalError("observation Gram matrix is ill-conditioned",
-                             condition_number=cond)
-    gamma = np.linalg.solve(gram, h @ cov_s).T
+    h_cov, gram = _regularized_gram(h, cov_s, noise_var,
+                                    "observation Gram matrix is ill-conditioned")
+    gamma = np.linalg.solve(gram, h_cov).T
     mmse = float(np.trace(cov_s - gamma @ h @ cov_s))
     return gamma, max(mmse, 0.0)
 

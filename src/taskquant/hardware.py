@@ -139,12 +139,15 @@ def project_lorentzian(desired, strip_sizes, omega: float, grid: ParameterGrid,
     params = {}
     col = 0    # columns run strip by strip, each from its output port
     for i, size in enumerate(strip_sizes):
-        for pos in range(size):
-            h = propagation.response(pos, omega)
-            best = int(np.argmin(np.abs(candid - desired[i, col] / h)))
-            feasible[i, col] = candid[best] * h
+        h = [propagation.response(pos, omega) for pos in range(size)]
+        # one (size x grid) distance block per strip keeps the search in cache
+        targets = desired[i, col:col + size] / np.array(h, dtype=complex)
+        best = np.abs(candid - targets[:, None]).argmin(axis=1)
+        for pos, index in enumerate(best.tolist()):
+            # numpy's scalar product: its array loop rounds differently
+            feasible[i, col] = candid[index] * h[pos]
             params[(i, col)] = tuple(float(values[j]) for values, j
-                                     in zip(axes, np.unravel_index(best, shape)))
+                                     in zip(axes, np.unravel_index(index, shape)))
             col += 1
     residual = float(np.sum(np.abs(desired - feasible) ** 2))
     return feasible, params, residual

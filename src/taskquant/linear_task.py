@@ -26,8 +26,8 @@ __all__ = [
     "optimal_digital",
     "excess_mse",
     "fixed_combiner_design",
-    "mse_with_digital",
     "waterfill",
+    "predicted_excess",
     "equalizing_rotation",
     "design",
     "recommend_quantizers",
@@ -144,28 +144,46 @@ class QuantizerDesign:
         return self.analog.shape[0]
 
 
-def _combined_moments(analog, model: LinearTaskModel, support: float,
-                      levels: int):
-    """Gram matrix G and task cross-covariance C = A Sx Gamma^T (p x k) of the
-    combined observation plus white quantization noise of the ADC's variance."""
-    a = np.atleast_2d(np.asarray(analog, dtype=float))
-    sigma2 = noise_variance(UniformQuantizerSpec(levels, support))
-    a_cov = a @ model.obs_cov
-    gram = a_cov @ a.T + sigma2 * np.eye(a.shape[0])
-    return gram, a_cov @ model.task_matrix.T
+def _regularized_gram(left, cov, noise: float, message: str):
+    """(L C, G = L C L^T + noise I) for a covariance C; NumericalError(message)
+    unless G is finite with condition number at most _COND_LIMIT.
+
+    In exact arithmetic G's singular values are >= noise. Rounding in two
+    products over n terms and the diagonal sum lowers them by at most
+    delta = gamma_{2n+1} (|L|_F^2 |C|_F + noise), gamma_m = m u / (1 - m u)
+    (Weyl's inequality; Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 3.5). So |G|_F / (noise - delta) 100 times below the
+    limit, a margin for the rounding of the norms and of an SVD, settles the
+    check without np.linalg.cond.
+    """
+    left_cov = left @ cov
+    gram = left_cov @ left.T + noise * np.eye(left.shape[0])
+    fro = math.sqrt(np.vdot(gram, gram))
+    if not math.isfinite(fro) and not np.isfinite(gram).all():
+        # LAPACK's SVD does not converge on a NaN; fro is NaN or inf here
+        raise NumericalError(message, condition_number=fro)
+    mu = (2 * cov.shape[0] + 1) * 2.0 ** -53
+    delta = mu / (1.0 - mu) * (np.vdot(left, left) * math.sqrt(np.vdot(cov, cov))
+                               + noise)
+    if not (delta < 0.5 * noise and fro <= (noise - delta) * (_COND_LIMIT / 100)):
+        cond = np.linalg.cond(gram)
+        if not np.isfinite(cond) or cond > _COND_LIMIT:
+            raise NumericalError(message, condition_number=cond)
+    return left_cov, gram
 
 
 def _wiener_solve(analog, model: LinearTaskModel, support: float, levels: int):
-    """Cross-covariance C and the Wiener solve G^-1 C.
+    """Cross-covariance C = A Sx Gamma^T and the Wiener solve G^-1 C, G the
+    Gram matrix of the combined observation plus the ADC's white noise.
 
     The digital matrix is (G^-1 C)^T and the excess MSE is
     trace(Gamma Sx Gamma^T) - <C, G^-1 C>, so one solve serves both.
     """
-    gram, cross = _combined_moments(analog, model, support, levels)
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise NumericalError("regularized Gram matrix is ill-conditioned",
-                             condition_number=cond)
+    a = np.atleast_2d(np.asarray(analog, dtype=float))
+    sigma2 = noise_variance(UniformQuantizerSpec(levels, support))
+    a_cov, gram = _regularized_gram(a, model.obs_cov, sigma2,
+                                    "regularized Gram matrix is ill-conditioned")
+    cross = a_cov @ model.task_matrix.T
     try:
         return cross, np.linalg.solve(gram, cross)
     except np.linalg.LinAlgError as exc:
@@ -218,15 +236,6 @@ def fixed_combiner_design(analog, model: LinearTaskModel, levels: int,
                            singular_values=singular_values, waterline=waterline)
 
 
-def mse_with_digital(analog, digital, model: LinearTaskModel, support: float,
-                     levels: int) -> float:
-    """Excess MSE of the pipeline with an arbitrary (not re-optimized) digital matrix."""
-    b = np.atleast_2d(np.asarray(digital, dtype=float))
-    gram, cross = _combined_moments(analog, model, support, levels)
-    return float(model.estimate_trace - 2.0 * np.einsum("ij,ji->", b, cross)
-                 + np.einsum("ij,jk,ik->", b, gram, b))
-
-
 def waterfill(singvals, margin: float, levels: int, channels: int):
     """Combiner gains over the task spectrum under a unit total-power budget.
 
@@ -242,27 +251,30 @@ def waterfill(singvals, margin: float, levels: int, channels: int):
     s = np.asarray(singvals, dtype=float)
     if s.ndim != 1:
         raise ValueError("singular values must be a vector")
-    if s.size and (s[1:] - s[:-1] > 1e-12 * max(s.max(), 1.0)).any():
+    # Python floats on these few values round as numpy did: a running sum is
+    # np.cumsum's order, and + - * / max and sqrt are correctly rounded
+    vals, tol = s.tolist(), 1e-12 * s.max(initial=1.0)     # NaN propagates
+    if any(b - a > tol for a, b in zip(vals, vals[1:])):
         raise ValueError("singular values must be sorted descending")
-    s = np.maximum(s, 0.0)
-    padded = np.zeros(channels)
-    padded[:min(channels, s.size)] = s[:channels]
-    positive = padded[padded > 0]
-    if positive.size == 0:
+    padded = [max(v, 0.0) for v in vals[:channels]]
+    padded += [0.0] * (channels - len(padded))
+    positive = [v for v in padded if v > 0]
+    if not positive:
         raise ValueError("degenerate task: all singular values are zero")
 
     coef = 2.0 * margin / (3.0 * levels ** 2 * channels)
     target = 1.0 / coef
-    csum, positive = np.cumsum(positive).tolist(), positive.tolist()
     # stop at the first m whose waterline leaves mode m + 1 dry; mode m is
     # wet there: z_1 s_1 = target + 1, and z_{m-1} s_m > 1 gives z_m s_m > 1
-    for m in range(1, len(positive) + 1):
-        waterline = (target + m) / csum[m - 1]
+    csum = 0.0
+    for m, v in enumerate(positive, 1):
+        csum += v
+        waterline = (target + m) / csum
         if m == len(positive) or waterline * positive[m] <= 1.0 + 1e-12:
             break
 
-    gains = np.sqrt(coef * np.maximum(waterline * padded - 1.0, 0.0))
-    return gains, float(waterline)
+    gains = np.sqrt([coef * max(waterline * v - 1.0, 0.0) for v in padded])
+    return gains, waterline
 
 
 def equalizing_rotation(diag_values) -> np.ndarray:
@@ -272,8 +284,8 @@ def equalizing_rotation(diag_values) -> np.ndarray:
     smallest diagonal entries of the still-active channels and sets the
     largest exactly to the mean, which freezes it. Two active channels never
     couple (a pair's survivor gains off-diagonal entries only with frozen
-    channels), so a step costs one 2 x 2 block product for the survivor's new
-    entry and an update of two rows of U; no p x p matrix is rotated.
+    channels), so a step costs one product of the rotation with the pair's
+    diagonal block and rows of U, and one for the survivor's new entry.
     """
     d = np.asarray(diag_values, dtype=float)
     if d.ndim == 2:
@@ -290,6 +302,8 @@ def equalizing_rotation(diag_values) -> np.ndarray:
     t = float(clipped.sum()) / p
     scale = max(abs(t), top, 1.0)
     active, vals = list(range(p)), clipped.tolist()
+    # [[hi, 0, row a of U], [0, lo, row b of U]]: one product rotates both
+    work = np.zeros((2, p + 2))
     for _ in range(p - 1):
         hi, lo = max(vals), min(vals)
         if hi - lo < 1e-9 * scale:
@@ -302,12 +316,25 @@ def equalizing_rotation(diag_values) -> np.ndarray:
         c = 1.0 / math.sqrt(1.0 + tan * tan)
         w = tan * c
         gi = np.array([[c, w], [-w, c]])
-        # BLAS rounds these products with FMA; Python floats would not
-        vals[b] = float((gi @ np.array([[hi, 0.0], [0.0, lo]]) @ gi.T)[1, 1])
-        pair = [active[a], active[b]]
-        u[pair, :] = gi @ u[pair, :]
+        ia, ib = active[a], active[b]
+        work[0, 0], work[1, 1] = hi, lo
+        work[0, 2:], work[1, 2:] = u[ia], u[ib]
+        rotated = gi @ work
+        # BLAS rounds with FMA, every column alike; Python floats would not
+        vals[b] = float((rotated[:, :2] @ gi.T)[1, 1])
+        u[ia], u[ib] = rotated[0, 2:], rotated[1, 2:]
         del active[a], vals[a]
     return u
+
+
+def predicted_excess(sing, k: int, channels: int, waterline: float) -> float:
+    """`design`'s excess MSE at waterline z: each of the k task modes keeps
+    s_i^2 / (max(z s_i - 1, 0) + 1), and those past the channels all of s_i^2."""
+    served = np.maximum(waterline * sing - 1.0, 0.0)
+    terms = sing ** 2 / (served + 1.0)
+    if channels >= k:
+        return float(terms[:k].sum())
+    return float(terms[:channels].sum() + (sing[channels:k] ** 2).sum())
 
 
 def _fix_svd_signs(vt):
@@ -350,22 +377,15 @@ def design(model: LinearTaskModel, channels: int, levels: int,
     projected[:, :wide] = whitened @ basis[:wide].T
     digital = (projected * wiener) @ rotation.T
 
-    served = np.maximum(waterline * sing - 1.0, 0.0)
-    terms = sing ** 2 / (served + 1.0)
-    k = model.k
-    if channels >= k:
-        predicted = float(terms[:k].sum())
-    else:
-        predicted = float(terms[:channels].sum() + (sing[channels:k] ** 2).sum())
-
-    channel_var = np.einsum("ij,jk,ik->i", analog, model.obs_cov, analog)
+    channel_var = ((analog @ model.obs_cov) * analog).sum(1)
     spread = channel_var.max() - channel_var.min()
     if spread > 1e-8 * max(channel_var.max(), 1e-300):
         raise NumericalError(
             f"combiner channels are not equalized (relative spread {spread:.2e})")
 
     return QuantizerDesign(analog=analog, quantizer=spec, digital=digital,
-                           predicted_excess_mse=predicted,
+                           predicted_excess_mse=predicted_excess(
+                               sing, model.k, channels, waterline),
                            singular_values=sing, waterline=waterline)
 
 

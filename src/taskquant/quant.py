@@ -41,7 +41,7 @@ class UniformQuantizerSpec:
     def __post_init__(self):
         if int(self.levels) != self.levels or self.levels < 2:
             raise ValueError(f"levels must be an integer >= 2, got {self.levels}")
-        if not (np.isfinite(self.support) and self.support > 0):
+        if not (math.isfinite(self.support) and self.support > 0):
             raise ValueError(f"support must be positive and finite, got {self.support}")
 
     @property

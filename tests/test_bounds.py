@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from taskquant.bounds import SpectrumBound, gaussian_mmse, indirect_drf
+from taskquant.errors import NumericalError
 from taskquant.scenarios import dft_pilot_scenario
 
 
@@ -21,6 +22,34 @@ def test_gaussian_mmse_vanishing_noise():
 def test_gaussian_mmse_rejects_bad_noise():
     with pytest.raises(ValueError):
         gaussian_mmse(np.eye(2), np.eye(2), 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gaussian_mmse_rejects_a_non_finite_gram(bad):
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+        gaussian_mmse(np.array([[bad, 0.0], [0.0, 1.0]]), np.eye(2), 1.0)
+
+
+def test_gaussian_mmse_guard_decides_as_the_condition_number():
+    # the certificate that skips the SVD must not change a decision of
+    # np.linalg.cond, nor the condition number a rejection reports
+    rng = np.random.default_rng(3)
+    outcomes = []
+    for _ in range(300):
+        n, k = int(rng.integers(1, 10)), int(rng.integers(1, 10))
+        h = rng.standard_normal((n, k))
+        q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        cov = (q * rng.uniform(0.3, 3.0, k)) @ q.T
+        noise = 10.0 ** rng.uniform(-17, 0)
+        cond = np.linalg.cond(h @ cov @ h.T + noise * np.eye(n))
+        try:
+            gaussian_mmse(h, cov, noise)
+            outcome = None
+        except NumericalError as err:
+            outcome = err.condition_number
+        assert outcome == (cond if cond > 1e14 else None)
+        outcomes.append(outcome)
+    assert any(o is None for o in outcomes) and any(o is not None for o in outcomes)
 
 
 def test_gaussian_mmse_matches_conditional_mean_oracle():
@@ -82,18 +111,25 @@ def test_drf_monotone_and_convex_in_rate():
 
 
 def test_spectrum_bound_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^eigenvalues must be sorted descending$"):
         SpectrumBound(np.array([1.0, 2.0]), 0.0, 1.0)   # ascending
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^eigenvalues must be sorted descending$"):
+        SpectrumBound(np.array([3.0, 1.0, 1.0 + 1e-9, 0.5]), 0.0, 1.0)
+    with pytest.raises(ValueError, match="^eigenvalues must be nonnegative$"):
         SpectrumBound(np.array([1.0, -0.1]), 0.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^mmse_floor must be nonnegative$"):
         SpectrumBound(np.array([1.0]), -0.1, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^rate_bits must be nonnegative$"):
         SpectrumBound(np.array([1.0]), 0.0, -1.0)
-    for eig in ([np.nan, 1.0], [np.inf, 1.0], [1.0, np.nan]):
-        with pytest.raises(ValueError):
+    finite = "^eigenvalues, mmse_floor and rate_bits must be finite$"
+    for eig in ([np.nan, 1.0], [np.inf, 1.0], [1.0, np.nan], [1.0, -np.inf],
+                [-1.0, np.nan]):
+        with pytest.raises(ValueError, match=finite):
             SpectrumBound(np.array(eig), 0.0, 4.0)
     for floor, rate in ((np.nan, 1.0), (np.inf, 1.0), (0.0, np.nan),
                         (0.0, np.inf)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=finite):
             SpectrumBound(np.array([1.0]), floor, rate)
+    # ties and rises within the sort tolerance pass, as does an empty spectrum
+    SpectrumBound(np.array([2.0, 2.0, 1.0 + 1e-13, 1.0, 0.0]), 0.0, 1.0)
+    assert SpectrumBound(np.array([]), 0.5, 1.0).eigenvalues.size == 0

@@ -10,9 +10,9 @@ from taskquant.hardware import (LorentzianCombiner, ParameterGrid,
                                 real_composite)
 from taskquant.errors import NumericalError
 from taskquant.linear_task import (LinearTaskModel, design, excess_mse,
-                                   fixed_combiner_design, mse_with_digital,
-                                   optimal_digital)
-from taskquant.quant import overload_safe_support
+                                   fixed_combiner_design, optimal_digital)
+from taskquant.quant import (UniformQuantizerSpec, noise_variance,
+                             overload_safe_support)
 
 
 def random_model(rng, n, k):
@@ -179,6 +179,52 @@ def test_project_lorentzian_off_strip_zero_is_free():
     assert np.all(feasible[~mask] == 0)
 
 
+def reference_project_lorentzian(desired, strip_sizes, omega, grid, propagation):
+    """The search project_lorentzian ran before it took one argmin per strip:
+    one argmin over the whole grid per entry."""
+    axes = (grid.strengths, grid.dampings, grid.resonances)
+    shape = tuple(values.size for values in axes)
+    candid = grid.responses(omega)
+    feasible = np.zeros_like(desired)
+    params = {}
+    col = 0
+    for i, size in enumerate(strip_sizes):
+        for pos in range(size):
+            h = propagation.response(pos, omega)
+            best = int(np.argmin(np.abs(candid - desired[i, col] / h)))
+            feasible[i, col] = candid[best] * h
+            params[(i, col)] = tuple(float(values[j]) for values, j
+                                     in zip(axes, np.unravel_index(best, shape)))
+            col += 1
+    return feasible, params, float(np.sum(np.abs(desired - feasible) ** 2))
+
+
+@pytest.mark.parametrize("propagation", [
+    PropagationModel(), PropagationModel(attenuation=0.2, delay=0.3)])
+def test_project_lorentzian_matches_per_entry_search(propagation):
+    # the benchmark's metasurface case: the dft_pilot design on 20 strips of 3
+    model = scenarios.dft_pilot_scenario().model
+    grid = ParameterGrid.regular((0.5, 3.0), (0.5, 3.0), (4.0, 10.0), count=16)
+    cases = [(nearest_complex_blocks(design(model, 40, 8, 4.0).analog),
+              (3,) * 20, 5.0, grid)]
+    rng = np.random.default_rng(9)
+    for _ in range(40):     # uneven strips, empty ones included
+        sizes = tuple(int(v) for v in rng.integers(0, 6, int(rng.integers(1, 6))))
+        shape = (len(sizes), sum(sizes))
+        desired = rng.uniform(0.01, 100) * (rng.standard_normal(shape)
+                                            + 1j * rng.standard_normal(shape))
+        cases.append((desired, sizes, float(rng.uniform(0.5, 12.0)),
+                      ParameterGrid.regular((0.5, 3.0), (0.5, 3.0), (4.0, 10.0),
+                                            count=int(rng.integers(1, 9)))))
+    for desired, sizes, omega, grid in cases:
+        ours = project_lorentzian(desired, sizes, omega, grid, propagation)
+        expected = reference_project_lorentzian(desired, sizes, omega, grid,
+                                                propagation)
+        assert ours[0].tobytes() == expected[0].tobytes()
+        assert list(ours[1].items()) == list(expected[1].items())
+        assert repr(ours[2]) == repr(expected[2])
+
+
 def test_project_lorentzian_grid_refinement_monotone():
     rng = np.random.default_rng(3)
     desired = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
@@ -231,7 +277,15 @@ def test_constrained_design_reoptimized_digital_helps():
     base = design(model, 3, 8)
     con = constrained_design(model, PhaseOnly(), 3, 8)
     support = con.quantizer.support
-    frozen = mse_with_digital(con.analog, base.digital, model, support, 8)
+    # excess MSE with the unconstrained digital matrix B kept:
+    # trace(Gamma Sx Gamma^T) - 2 <B, C^T> + <B G, B>
+    a_cov = con.analog @ model.obs_cov
+    gram = a_cov @ con.analog.T + noise_variance(
+        UniformQuantizerSpec(8, support)) * np.eye(3)
+    cross = a_cov @ model.task_matrix.T
+    b = base.digital
+    frozen = (model.estimate_trace - 2.0 * np.einsum("ij,ji->", b, cross)
+              + np.einsum("ij,jk,ik->", b, gram, b))
     reopt = excess_mse(con.analog, model, support, 8)
     assert reopt <= frozen + 1e-12
 

@@ -4,11 +4,13 @@ import pytest
 from taskquant import linear_task, scenarios
 from taskquant.errors import NumericalError
 from taskquant.hardware import PhaseOnly, constrained_design
+from taskquant.harness import levels_for
 from taskquant.linear_task import (LinearTaskModel, _fix_svd_signs, design,
                                    equalizing_rotation, estimate, excess_mse,
-                                   mse_with_digital, optimal_digital,
+                                   optimal_digital, predicted_excess,
                                    recommend_quantizers, waterfill)
-from taskquant.quant import overload_safe_support
+from taskquant.quant import (UniformQuantizerSpec, noise_variance,
+                             overload_safe_support)
 
 
 def random_model(rng, n=None, k=None, eig_range=(0.3, 3.0)):
@@ -116,6 +118,59 @@ def test_waterfill_matches_bisection_oracle():
 def test_waterfill_degenerate_task():
     with pytest.raises(ValueError, match="degenerate"):
         waterfill(np.zeros(3), 4.0, 4, 2)
+
+
+def reference_waterfill(singvals, margin, levels, channels):
+    """The numpy water-fill that `waterfill` replaced with Python floats."""
+    s = np.asarray(singvals, dtype=float)
+    if s.size and (s[1:] - s[:-1] > 1e-12 * max(s.max(), 1.0)).any():
+        raise ValueError("singular values must be sorted descending")
+    s = np.maximum(s, 0.0)
+    padded = np.zeros(channels)
+    padded[:min(channels, s.size)] = s[:channels]
+    positive = padded[padded > 0]
+    if positive.size == 0:
+        raise ValueError("degenerate task: all singular values are zero")
+    coef = 2.0 * margin / (3.0 * levels ** 2 * channels)
+    target = 1.0 / coef
+    csum, positive = np.cumsum(positive).tolist(), positive.tolist()
+    for m in range(1, len(positive) + 1):
+        waterline = (target + m) / csum[m - 1]
+        if m == len(positive) or waterline * positive[m] <= 1.0 + 1e-12:
+            break
+    gains = np.sqrt(coef * np.maximum(waterline * padded - 1.0, 0.0))
+    return gains, float(waterline)
+
+
+def waterfill_outcome(fill, *args):
+    try:
+        gains, waterline = fill(*args)
+    except ValueError as err:
+        return str(err)
+    return gains.tobytes(), repr(waterline)
+
+
+def test_waterfill_matches_reference_bytes():
+    rng = np.random.default_rng(26)
+    for trial in range(600):
+        count = int(rng.integers(1, 41))
+        vals = np.sort(rng.uniform(0, 3, count))[::-1]
+        if trial % 5 == 1:      # zeros, the task's rank below the channel count
+            vals[rng.random(count) < 0.4] = 0.0
+            vals = np.sort(vals)[::-1]
+        if trial % 5 == 2:      # ties
+            vals = np.sort(rng.choice(vals[: max(count // 3, 1)], count))[::-1]
+        if trial % 5 == 3 and count > 1:    # a rise just below or above the
+            i = int(rng.integers(1, count))  # sort tolerance, or far above
+            vals[i] = vals[i - 1] + rng.choice([0.5, 1.5, 1e6]) * 1e-12 * max(
+                vals.max(), 1.0)
+        if trial % 5 == 4:      # all zero: degenerate
+            vals[:] = 0.0
+        channels = int(rng.integers(1, count + 4))
+        args = (vals, float(rng.uniform(1, 30)),
+                int(rng.choice([2, 4, 8, 16, 2 ** 20])), channels)
+        assert (waterfill_outcome(waterfill, *args)
+                == waterfill_outcome(reference_waterfill, *args))
 
 
 def test_rotation_identity_when_equal():
@@ -334,6 +389,29 @@ def test_fix_svd_signs_matches_reference_loop():
         assert _fix_svd_signs(vt.copy()).tobytes() == expected.tobytes()
 
 
+def test_predicted_excess_prices_a_design_without_building_it():
+    # support -> water-fill -> predicted_excess, with no rotation, basis or
+    # Wiener step, gives design's bytes at every p a budget of 8-64 bits buys
+    rng = np.random.default_rng(28)
+    lifted = scenarios.covariance_scenario().lifted.model
+    cases = [(scenarios.isi_scenario().model, 16),
+             (scenarios.dft_pilot_scenario().model, 64), (lifted, lifted.n)]
+    for _ in range(20):     # drawn as in acceptance criterion 2
+        model = random_model(rng)
+        cases.append((model, model.k + 2))
+    for model, widest in cases:
+        sing = model.factors[2]
+        for bits in (8, 16, 24, 32, 48, 64):
+            for p in range(1, min(bits, widest) + 1):
+                levels = levels_for(bits, p)
+                scale = min(4.0, 0.95 * np.sqrt(3) * levels)
+                _, margin = overload_safe_support(scale, levels, p)
+                _, waterline = waterfill(sing, margin, levels, p)
+                price = predicted_excess(sing, model.k, p, waterline)
+                built = design(model, p, levels, scale).predicted_excess_mse
+                assert repr(price) == repr(built)
+
+
 def test_design_reuses_the_model_factors():
     rng = np.random.default_rng(22)
     model = random_model(rng, n=12, k=4)
@@ -408,7 +486,6 @@ def test_estimate_trace_is_computed_once(monkeypatch):
     model = random_model(np.random.default_rng(25), n=8, k=3)
     des = design(model, 3, 8, 3.0)
     excess_mse(des.analog, model, des.quantizer.support, 8)
-    mse_with_digital(des.analog, des.digital, model, des.quantizer.support, 8)
     constrained_design(model, PhaseOnly(), 3, 8, 3.0)
     assert len(calls) == 1
     assert model.estimate_trace == np.trace(original(model))
@@ -443,18 +520,6 @@ def test_estimate_dimension_mismatch():
         estimate(des, np.zeros(5), dither=False)
 
 
-def test_mse_with_digital_matches_expansion():
-    rng = np.random.default_rng(18)
-    model = random_model(rng, n=8, k=3)
-    analog = rng.standard_normal((3, 8))
-    best = optimal_digital(analog, model, 2.0, 8)
-    assert mse_with_digital(analog, best, model, 2.0, 8) == pytest.approx(
-        excess_mse(analog, model, 2.0, 8), rel=1e-9)
-    worse = best + 0.1 * rng.standard_normal(best.shape)
-    assert mse_with_digital(analog, worse, model, 2.0, 8) > excess_mse(
-        analog, model, 2.0, 8)
-
-
 def test_ill_conditioned_gram_reports_condition():
     with pytest.raises(ValueError):
         LinearTaskModel(obs_cov=np.diag([1.0, 0.0]), task_matrix=np.eye(2))
@@ -476,7 +541,8 @@ def test_wiener_solve_guard_at_the_condition_limit(factor):
         assert err.value.condition_number == pytest.approx(
             factor * linear_task._COND_LIMIT)
         return
-    gram, _ = linear_task._combined_moments(np.eye(2), model, support, 2)
+    sigma2 = noise_variance(UniformQuantizerSpec(2, support))
+    gram = model.obs_cov + sigma2 * np.eye(2)
     cross, solved = linear_task._wiener_solve(np.eye(2), model, support, 2)
     np.testing.assert_allclose(gram @ solved, cross, rtol=1e-12, atol=1e-14)
 
@@ -486,3 +552,84 @@ def test_wiener_solve_rejects_a_non_finite_gram():
     with np.errstate(over="ignore"), pytest.raises(NumericalError):
         # (1e200)^2 overflows: the Gram's first entry is inf
         linear_task._wiener_solve(np.diag([1e200, 1.0]), model, 1.0, 4)
+
+
+def test_wiener_solve_rejects_a_nan_gram():
+    # LAPACK's SVD does not converge on a NaN, so the guard checks first
+    model = LinearTaskModel(obs_cov=np.eye(2), task_matrix=np.eye(2))
+    with pytest.raises(NumericalError):
+        linear_task._wiener_solve(np.array([[np.nan, 0.0], [0.0, 1.0]]), model,
+                                  1.0, 4)
+
+
+def cond_guard(gram):
+    """The guard `_wiener_solve` ran before it certified well-conditioned
+    Grams: np.linalg.cond on every one. The raised condition number, or None."""
+    cond = np.linalg.cond(gram)
+    if not np.isfinite(cond) or cond > linear_task._COND_LIMIT:
+        return cond
+    return None
+
+
+def guard_outcome(analog, model, support, levels):
+    """(raised condition number or None, the Gram `_wiener_solve` guards)."""
+    a_cov = analog @ model.obs_cov
+    gram = a_cov @ analog.T + noise_variance(
+        UniformQuantizerSpec(levels, support)) * np.eye(analog.shape[0])
+    try:
+        linear_task._wiener_solve(analog, model, support, levels)
+    except NumericalError as err:
+        return err.condition_number, gram
+    return None, gram
+
+
+def test_wiener_guard_decides_as_the_condition_number():
+    rng = np.random.default_rng(27)
+    raised = 0
+    for _ in range(300):    # criterion-2 models, random combiners and supports
+        model = random_model(rng)
+        analog = rng.standard_normal((int(rng.integers(1, model.k + 3)), model.n))
+        if rng.random() < 0.3:      # more rows than the model has dimensions
+            analog = rng.standard_normal((model.n + 2, model.n))
+        levels = int(rng.choice([2, 4, 8, 16]))
+        outcome, gram = guard_outcome(analog, model, 10.0 ** rng.uniform(-9, 1),
+                                      levels)
+        assert outcome == cond_guard(gram)
+        raised += outcome is not None
+    assert raised > 0
+    # A = I on diag(1, 1e-300): the Gram's condition number is 1 + 6 / S^2 at
+    # 2 levels, swept across the certificate's reach and the limit
+    model = LinearTaskModel(obs_cov=np.diag([1.0, 1e-300]), task_matrix=np.eye(2))
+    outcomes = []
+    for target in np.logspace(10, 16, 241):
+        outcome, gram = guard_outcome(np.eye(2), model,
+                                      np.sqrt(6.0 / (target - 1.0)), 2)
+        assert outcome == cond_guard(gram)
+        outcomes.append(outcome)
+    assert outcomes[0] is None and outcomes[-1] is not None
+
+
+def test_designs_run_no_svd_guard(monkeypatch):
+    rng = np.random.default_rng(29)
+    lifted = scenarios.covariance_scenario().lifted.model
+    cases = [(scenarios.isi_scenario().model, 8, 16, 4.0),
+             (scenarios.dft_pilot_scenario().model, 40, 8, 4.0),
+             (lifted, lifted.k, 4, 3.0)]
+    for _ in range(50):     # drawn as in acceptance criterion 2
+        model = random_model(rng)
+        levels = int(rng.choice([2, 4, 8, 16]))
+        cases.append((model, int(rng.integers(1, model.k + 3)), levels,
+                      min(4.0, 0.95 * np.sqrt(3) * levels)))
+    calls = []
+    original = np.linalg.cond
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counted)
+    for model, channels, levels, scale in cases:
+        des = design(model, channels, levels, scale)
+        excess_mse(des.analog, model, des.quantizer.support, levels)
+        constrained_design(model, PhaseOnly(), channels, levels, scale)
+    assert calls == []
