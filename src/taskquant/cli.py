@@ -82,11 +82,6 @@ def _cmd_design(args) -> int:
     return 0
 
 
-def _save_csv(rows, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        harness.write_csv(rows, fh)
-
-
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
     scenario = harness.build_scenario(cfg)
@@ -105,7 +100,7 @@ def _cmd_simulate(args) -> int:
     harness.write_csv(rows, sys.stdout)
     print(f"# wall_time_ms={rows[0].wall_time_ms:.1f}", file=sys.stderr)
     if cfg.output:
-        _save_csv(rows, cfg.output)
+        harness.save_csv(rows, cfg.output)
     return 0
 
 
@@ -126,7 +121,7 @@ def _cmd_bound(args) -> int:
         raise ConfigError("[sweep] grid: rate grid required for bound curves")
     rows = [harness.bound_row(scenario, bits) for bits in cfg.grid]
     if cfg.output:
-        _save_csv(rows, cfg.output)
+        harness.save_csv(rows, cfg.output)
         print(f"{len(rows)} rows written to {cfg.output}")
     else:
         harness.write_csv(rows, sys.stdout)

@@ -170,6 +170,15 @@ class Network:
     def input_dim(self) -> int:
         return self.analog[0].weights.shape[1]
 
+    def parameters(self) -> list:
+        """The live trainable arrays in forward order: each analog layer's
+        weights and bias, the soft quantizer's outer and shifts, then each
+        digital layer's weights and bias. `backward` aligns its gradients
+        with this list; the fixed steepness constants are not in it."""
+        return [*(a for layer in self.analog for a in (layer.weights, layer.bias)),
+                self.quantizer.outer, self.quantizer.shifts,
+                *(a for layer in self.digital for a in (layer.weights, layer.bias))]
+
 
 def _softmax(logits):
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
@@ -184,6 +193,18 @@ def _dense_forward(layers, x, cache=None):
             cache.append((x, out))
         x = out
     return x
+
+
+def _dense_backward(layers, cache, upstream):
+    """(dW, db) per layer of `layers` in order, and the gradient at the
+    first layer's input, from the `cache` that `_dense_forward` filled."""
+    grads = []
+    for layer, (inp, out) in zip(reversed(layers), reversed(cache)):
+        if layer.activation == "tanh":
+            upstream = upstream * (1.0 - out ** 2)
+        grads[:0] = [upstream.T @ inp, upstream.sum(axis=0)]
+        upstream = upstream @ layer.weights
+    return grads, upstream
 
 
 def _digital_output(net: Network, x) -> np.ndarray:
@@ -223,19 +244,9 @@ def loss(net: Network, x, targets) -> float:
     return _loss_and_grad(net, _digital_output(net, x), targets)[0]
 
 
-@dataclass
-class Gradients:
-    analog: list      # (dW, db) per layer
-    quant_outer: np.ndarray
-    quant_shifts: np.ndarray
-    digital: list
-
-
 def backward(net: Network, x, targets):
-    """Loss and exact reverse-mode gradients of every trainable parameter.
-
-    Steepness constants are fixed, so they get no gradient entry.
-    """
+    """Loss and exact reverse-mode gradients of every trainable parameter, as
+    a list aligned with `net.parameters()`."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     analog_cache = []
     z = _dense_forward(net.analog, x, analog_cache)
@@ -246,29 +257,15 @@ def backward(net: Network, x, targets):
     out = _dense_forward(net.digital, q, digital_cache)
 
     value, grad = _loss_and_grad(net, out, targets)
-
-    def dense_backward(layers, cache, upstream):
-        grads = [None] * len(layers)
-        for idx in range(len(layers) - 1, -1, -1):
-            layer = layers[idx]
-            inp, out_ = cache[idx]
-            if layer.activation == "tanh":
-                upstream = upstream * (1.0 - out_ ** 2)
-            grads[idx] = (upstream.T @ inp, upstream.sum(axis=0))
-            upstream = upstream @ layer.weights
-        return grads, upstream
-
-    digital_grads, dq = dense_backward(net.digital, digital_cache, grad)
+    digital_grads, dq = _dense_backward(net.digital, digital_cache, grad)
     dq_col = dq.T[:, :, None]
     d_outer = np.matmul(t, dq_col)[:, :, 0]
     t *= t
     sech2 = np.subtract(1.0, t, out=t)
     d_shifts = -qz.outer * np.matmul(sech2, dq_col)[:, :, 0]
     dz = dq * np.matmul((qz.outer * qz.steepness)[:, None, :], sech2)[:, 0].T
-    analog_grads, _ = dense_backward(net.analog, analog_cache, dz)
-
-    return value, Gradients(analog=analog_grads, quant_outer=d_outer,
-                            quant_shifts=d_shifts, digital=digital_grads)
+    analog_grads, _ = _dense_backward(net.analog, analog_cache, dz)
+    return value, [*analog_grads, d_outer, d_shifts, *digital_grads]
 
 
 @dataclass
@@ -300,17 +297,6 @@ class TrainSettings:
             setattr(self, key, tuple(int(w) for w in widths))
 
 
-def _parameter_steps(net: Network, grads: Gradients):
-    """(parameter array, its gradient) for every trainable array of `net`."""
-    for layers, layer_grads in ((net.analog, grads.analog),
-                                (net.digital, grads.digital)):
-        for layer, (dw, db) in zip(layers, layer_grads):
-            yield layer.weights, dw
-            yield layer.bias, db
-    yield net.quantizer.outer, grads.quant_outer
-    yield net.quantizer.shifts, grads.quant_shifts
-
-
 def train(net: Network, x, targets, settings: TrainSettings, seed: int) -> list:
     """Plain SGD over shuffled mini-batches, with the epochs, learning rate
     and batch size of `settings`; deterministic for a fixed seed.
@@ -325,22 +311,23 @@ def train(net: Network, x, targets, settings: TrainSettings, seed: int) -> list:
     targets = np.asarray(targets)
     rng = np.random.default_rng(seed)
     lr = settings.learning_rate
+    params = net.parameters()
     history = []
-    for epoch in range(settings.epochs):
-        order = rng.permutation(count)
-        epoch_losses = []
-        for start in range(0, count, batch):
-            pick = order[start:start + batch]
-            with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(settings.epochs):
+            order = rng.permutation(count)
+            epoch_losses = []
+            for start in range(0, count, batch):
+                pick = order[start:start + batch]
                 value, grads = backward(net, x[pick], targets[pick])
-            if not np.isfinite(value):
-                raise TrainingDiverged(
-                    f"loss became {value} at epoch {epoch}, step {start // batch}")
-            epoch_losses.append(value)
-            for param, grad in _parameter_steps(net, grads):
-                grad *= lr          # the gradient arrays are this step's own
-                param -= grad
-        history.append(float(np.mean(epoch_losses)))
+                if not np.isfinite(value):
+                    raise TrainingDiverged(f"loss became {value} at epoch "
+                                           f"{epoch}, step {start // batch}")
+                epoch_losses.append(value)
+                for p, g in zip(params, grads):
+                    g *= lr          # the gradient arrays are this step's own
+                    p -= g
+            history.append(float(np.mean(epoch_losses)))
     return history
 
 

@@ -46,6 +46,7 @@ __all__ = [
     "simulate_ber",
     "sweep",
     "write_csv",
+    "save_csv",
     "train_deep_estimator",
     "train_deep_classifier",
 ]
@@ -74,6 +75,12 @@ def write_csv(rows: Sequence[ResultRow], fh):
     fh.write(CSV_HEADER + "\n")
     for row in rows:
         fh.write(row.csv_line() + "\n")
+
+
+def save_csv(rows: Sequence[ResultRow], path):
+    """Write `rows` as CSV to the file at `path`: UTF-8, LF line ends."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        write_csv(rows, fh)
 
 
 def _key_to_int(key) -> int:
@@ -654,8 +661,7 @@ def sweep(config: ExperimentConfig, verbose: bool = False):
     if rate and scenario.kind == "linear":
         rows.extend(bound_row(scenario, value) for value in config.grid)
     if config.output:
-        with open(config.output, "w", encoding="utf-8", newline="\n") as fh:
-            write_csv(rows, fh)
+        save_csv(rows, config.output)
     return rows
 
 

@@ -288,11 +288,8 @@ def equalizing_rotation(diag_values) -> np.ndarray:
     diagonal block and rows of U, and one for the survivor's new entry.
     """
     d = np.asarray(diag_values, dtype=float)
-    if d.ndim == 2:
-        off = d - np.diag(np.diag(d))
-        if np.abs(off).max() > 1e-12 * max(np.abs(d).max(), 1.0):
-            raise ValueError("input matrix must be diagonal")
-        d = np.diag(d).copy()
+    if d.ndim != 1:
+        raise ValueError("diagonal values must be a vector")
     top = float(np.abs(d).max())
     if not (math.isfinite(top) and d.min() >= -1e-12 * max(top, 1.0)):
         raise ValueError("diagonal entries must be finite and nonnegative")

@@ -195,14 +195,8 @@ def test_criterion_07_gradient_correctness():
                                      head="classification")
             targets = rng.integers(0, 4, size=8)
         _, grads = deep.backward(net, x, targets)
-        flat_layers = net.analog + net.digital
-        params = [arr for layer in flat_layers
-                  for arr in (layer.weights, layer.bias)]
-        params += [net.quantizer.outer, net.quantizer.shifts]
-        grad_arrays = [g for pair in grads.analog + grads.digital for g in pair]
-        grad_arrays += [grads.quant_outer, grads.quant_shifts]
         step = 1e-5
-        for arr, grad in zip(params, grad_arrays):
+        for arr, grad in zip(net.parameters(), grads, strict=True):
             flat, gflat = arr.ravel(), np.asarray(grad).ravel()
             for idx in range(flat.size):
                 keep = flat[idx]

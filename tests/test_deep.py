@@ -19,33 +19,15 @@ def small_net(rng, head="estimation", n=6, p=3, k=2, levels=4,
                               head=head), x
 
 
-def flatten_params(net):
-    parts = []
-    for layer in net.analog + net.digital:
-        parts += [layer.weights.ravel(), layer.bias.ravel()]
-    parts += [net.quantizer.outer.ravel(), net.quantizer.shifts.ravel()]
-    return np.concatenate(parts)
+def flatten(arrays):
+    return np.concatenate([arr.ravel() for arr in arrays])
 
 
 def set_params(net, vec):
     pos = 0
-    for layer in net.analog + net.digital:
-        for arr in (layer.weights, layer.bias):
-            arr.flat[:] = vec[pos:pos + arr.size]
-            pos += arr.size
-    for arr in (net.quantizer.outer, net.quantizer.shifts):
+    for arr in net.parameters():
         arr.flat[:] = vec[pos:pos + arr.size]
         pos += arr.size
-
-
-def grad_vector(grads):
-    parts = []
-    for dw, db in grads.analog:
-        parts += [dw.ravel(), db.ravel()]
-    for dw, db in grads.digital:
-        parts += [dw.ravel(), db.ravel()]
-    parts += [grads.quant_outer.ravel(), grads.quant_shifts.ravel()]
-    return np.concatenate(parts)
 
 
 def test_soft_quantize_examples():
@@ -155,8 +137,8 @@ def test_gradients_match_finite_differences():
         else:
             targets = rng.integers(0, 4, size=8)
         _, grads = deep.backward(net, x, targets)
-        analytic = grad_vector(grads)
-        theta = flatten_params(net)
+        analytic = flatten(grads)
+        theta = flatten(net.parameters())
         fd = np.zeros_like(theta)
         step = 1e-5
         for i in range(theta.size):
@@ -192,7 +174,8 @@ def test_outer_scale_gradient_symbolic():
     t = np.tanh(2.0 * x - 0.3)
     out = w_dig * 0.8 * t
     expected = (2.0 * (out - s) / 16 * w_dig * t).sum()
-    assert grads.quant_outer[0, 0] == pytest.approx(expected, rel=1e-12)
+    # parameters: analog weights and bias, then the quantizer's outer scales
+    assert grads[2][0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_zero_gradient_by_symmetry():
@@ -206,7 +189,8 @@ def test_zero_gradient_by_symmetry():
     s = rng.standard_normal((8, 2))
     s = np.vstack([s, -s])
     _, grads = deep.backward(net, x, s)
-    np.testing.assert_allclose(grads.digital[-1][1], 0.0, atol=1e-12)
+    # the last digital layer's bias
+    np.testing.assert_allclose(grads[-1], 0.0, atol=1e-12)
 
 
 def test_training_reduces_loss_and_is_deterministic():
@@ -407,6 +391,32 @@ def test_train_keeps_steepness_fixed():
         deep.TrainSettings(learning_rate=-1.0)
 
 
+@pytest.mark.parametrize("head", ["estimation", "classification"])
+def test_parameters_order_gradients_and_train_step(head):
+    rng = np.random.default_rng(22)
+    net, x = small_net(rng, head=head, hidden_analog=(5,), hidden_digital=(4,))
+    targets = (rng.standard_normal((32, 2)) if head == "estimation"
+               else rng.integers(0, 4, size=32))
+    params = net.parameters()
+    forward_order = [arr for layer in net.analog
+                     for arr in (layer.weights, layer.bias)]
+    forward_order += [net.quantizer.outer, net.quantizer.shifts]
+    forward_order += [arr for layer in net.digital
+                      for arr in (layer.weights, layer.bias)]
+    assert len(params) == len(forward_order) == 10
+    assert all(got is want for got, want in zip(params, forward_order))
+    _, grads = deep.backward(net, x, targets)
+    assert [g.shape for g in grads] == [p.shape for p in params]
+    # one epoch over exactly one batch: one SGD step on train's permutation
+    cfg = deep.TrainSettings(learning_rate=0.05, batch_size=32, epochs=1)
+    pick = np.random.default_rng(3).permutation(32)
+    _, grads = deep.backward(net, x[pick], targets[pick])
+    expected = [p - cfg.learning_rate * g for p, g in zip(params, grads)]
+    deep.train(net, x, targets, cfg, 3)
+    for got, want in zip(net.parameters(), expected, strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
 def reference_backward(net, x, targets):
     """Loss and gradients from the plain broadcast formulas of the soft
     quantizer, every (batch, channels, levels - 1) product spelled out."""
@@ -440,7 +450,7 @@ def reference_backward(net, x, targets):
         for layer, inp in reversed(list(zip(layers, layer_inputs))):
             if layer.activation == "tanh":
                 up = up * (1.0 - np.tanh(inp @ layer.weights.T + layer.bias) ** 2)
-            grads.insert(0, (up.T @ inp, up.sum(axis=0)))
+            grads[:0] = [up.T @ inp, up.sum(axis=0)]
             up = up @ layer.weights
         return grads, up
 
@@ -450,8 +460,7 @@ def reference_backward(net, x, targets):
     d_shifts = -(dq[:, :, None] * qz.outer * sech2).sum(axis=0)
     dz = (dq[:, :, None] * qz.outer * qz.steepness * sech2).sum(axis=2)
     analog, _ = dense(net.analog, inputs, dz)
-    return value, deep.Gradients(analog=analog, quant_outer=d_outer,
-                                 quant_shifts=d_shifts, digital=digital)
+    return value, [*analog, d_outer, d_shifts, *digital]
 
 
 def wide_net(seed, head, levels, hidden=(9,), batch=128, channels=10):
@@ -470,15 +479,10 @@ def worst_reference_gap(net, x, targets):
     value, grads = deep.backward(net, x, targets)
     ref_value, ref = reference_backward(net, x, targets)
     assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
-    pairs = [(grads.quant_outer, ref.quant_outer),
-             (grads.quant_shifts, ref.quant_shifts)]
-    for mine, theirs in ((grads.analog, ref.analog),
-                         (grads.digital, ref.digital)):
-        for (dw, db), (rw, rb) in zip(mine, theirs):
-            pairs += [(dw, rw), (db, rb)]
-    assert len(pairs) == 10      # two layers on each side of the quantizer
+    # two layers on each side of the quantizer
+    assert len(grads) == len(ref) == len(net.parameters()) == 10
     return max(np.linalg.norm(got - want) / np.linalg.norm(want)
-               for got, want in pairs)
+               for got, want in zip(grads, ref))
 
 
 @pytest.mark.parametrize("head", ["estimation", "classification"])
