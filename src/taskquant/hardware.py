@@ -9,7 +9,7 @@ variances, and re-optimize the digital matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -226,7 +226,7 @@ def constrained_design(model: LinearTaskModel, constraint, channels: int,
     base = design(model, channels, levels, support_scale)
     if isinstance(constraint, Unconstrained):
         return base
-    return fixed_combiner_design(constraint.project(base.analog), model,
-                                 levels, support_scale,
-                                 singular_values=base.singular_values,
-                                 waterline=base.waterline)
+    projected = fixed_combiner_design(constraint.project(base.analog), model,
+                                      levels, support_scale)
+    return replace(projected, singular_values=base.singular_values,
+                   waterline=base.waterline)

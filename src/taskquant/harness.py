@@ -23,10 +23,10 @@ from . import deep, scenarios
 from .bounds import SpectrumBound, indirect_drf
 from .deep import TrainSettings
 from .errors import ConfigError
-from .linear_task import (QuantizerDesign, design, estimate,
+from .linear_task import (QuantizerDesign, _quantize, design, estimate,
                           fixed_combiner_design, recommend_quantizers)
 from .hardware import PartialConnect, PhaseOnly, Unconstrained, constrained_design
-from .quant import UniformQuantizerSpec, dithered_quantize, uniform_quantize
+from .quant import UniformQuantizerSpec
 
 __all__ = [
     "CSV_HEADER",
@@ -236,17 +236,12 @@ def levels_for(bits: float, channels: int, floor_at_two: bool = False) -> int:
     return levels
 
 
-def _quantize_batch(z, spec: UniformQuantizerSpec, rng, dither: bool):
-    if dither:
-        return dithered_quantize(z, spec, rng)
-    return uniform_quantize(z, spec)
-
-
 def _squared_errors(scenario, predict):
-    """Block function (rng, count) -> per-trial squared task error."""
+    """Block function (rng, count) -> per-trial squared task error of
+    predict(tasks, obs, rng)."""
     def block(rng, count):
         tasks, obs = rng.sample(scenario.sampler, count)
-        err = predict(obs, rng)
+        err = predict(tasks, obs, rng)
         err -= tasks
         np.square(err, out=err)
         return err.sum(axis=1)
@@ -254,7 +249,7 @@ def _squared_errors(scenario, predict):
     return block
 
 
-def _design_errors(scenario, des: QuantizerDesign, dither: bool):
+def _design_errors(scenario, des: QuantizerDesign):
     """Per-trial squared errors of a designed pipeline with its fixed combiner.
 
     Gaussian linear scenarios draw only y = A x and score each trial by the
@@ -267,8 +262,8 @@ def _design_errors(scenario, des: QuantizerDesign, dither: bool):
     if scenario.kind == "quadratic":
         lifted = scenario.lifted
         combiner = lifted.combiner(des)
-        return _squared_errors(scenario, lambda x, rng: lifted.estimate(
-            des, x, rng=rng, dither=dither, combiner=combiner))
+        return _squared_errors(scenario, lambda _, x, rng: lifted.estimate(
+            des, x, rng=rng, combiner=combiner))
     law = scenario.conditional_law(des.analog)
     _, mean_map, residual = law
 
@@ -276,7 +271,7 @@ def _design_errors(scenario, des: QuantizerDesign, dither: bool):
         drawn = list(scenario.sampler(rng, count, law=law))   # [g, y = g R]
         # estimate holds the only reference to y, so y is freed before the
         # recovery product is allocated: one (count, p) buffer less at the peak
-        err = estimate(des, drawn.pop(), rng=rng, dither=dither, combined=True)
+        err = estimate(des, drawn.pop(), rng=rng, combined=True)
         err -= drawn[0] @ mean_map
         np.square(err, out=err)
         return err.sum(axis=1) + residual
@@ -353,42 +348,35 @@ def _mse_predictor(config: ExperimentConfig, scenario, bits: float):
     scale = feasible_support_scale(_support_scale_at(config, bits), levels)
     realized = channels * math.log2(levels)
 
-    if method == "task_based":
-        des = design(model, channels, levels, scale)
-        return _design_errors(scenario, des, config.dither), des, realized
-
-    if method == "constrained":
-        constraint = _parse_constraint(config, model.n, channels)
-        des = constrained_design(model, constraint, channels, levels, scale)
-        return _design_errors(scenario, des, config.dither), des, realized
-
-    if method == "mmse_then_quantize":
-        if quadratic:
+    if quadratic and method != "task_based":   # one ADC per task or input
+        if method == "mmse_then_quantize":   # the tasks are their own MMSE estimate
             lifted = scenario.lifted
             var = np.diag(lifted.model.estimate_covariance())
-            support = scale * float((np.sqrt(var) + np.abs(lifted.offsets)).max())
-            spec = UniformQuantizerSpec(levels, support, dithered=True)
+            std = np.sqrt(var) + np.abs(lifted.offsets)
+            predict = lambda tasks, _, rng: _quantize(tasks, spec, rng)
+        else:
+            task = scenario.task
+            std = np.sqrt(np.diag(task.input_cov))
+            predict = lambda _, x, rng: task.values(_quantize(x, spec, rng))
+        spec = UniformQuantizerSpec(levels, scale * float(std.max()),
+                                    dithered=config.dither)
+        return _squared_errors(scenario, predict), spec, realized
 
-            def block(rng, count):  # the tasks are their own MMSE estimate
-                tasks = rng.sample(scenario.sampler, count)[0]
-                err = _quantize_batch(tasks, spec, rng, config.dither)
-                err -= tasks
-                np.square(err, out=err)
-                return err.sum(axis=1)
-            return block, spec, realized
-        des = fixed_combiner_design(model.task_matrix, model, levels, scale)
-        return _design_errors(scenario, des, config.dither), des, realized
-
-    if quadratic:
-        task = scenario.task
-        support = scale * float(np.sqrt(np.diag(task.input_cov)).max())
-        spec = UniformQuantizerSpec(levels, support, dithered=True)
-        return (_squared_errors(scenario, lambda x, rng: task.values(
-            _quantize_batch(x, spec, rng, config.dither))), spec, realized)
-    des = fixed_combiner_design(np.eye(model.n), model, levels, scale)
-    # A = I: the conditional draw would save little, so sample x itself
-    return (_squared_errors(scenario, lambda x, rng: estimate(
-        des, x, rng=rng, dither=config.dither)), des, realized)
+    if method == "task_based":
+        des = design(model, channels, levels, scale)
+    elif method == "constrained":
+        constraint = _parse_constraint(config, model.n, channels)
+        des = constrained_design(model, constraint, channels, levels, scale)
+    else:
+        combiner = (model.task_matrix if method == "mmse_then_quantize"
+                    else np.eye(model.n))
+        des = fixed_combiner_design(combiner, model, levels, scale)
+    des = replace(des, quantizer=replace(des.quantizer, dithered=config.dither))
+    if method == "digital_only":
+        # A = I: the conditional draw would save little, so sample x itself
+        return (_squared_errors(scenario, lambda _, x, rng: estimate(
+            des, x, rng=rng)), des, realized)
+    return _design_errors(scenario, des), des, realized
 
 
 def _parse_constraint(config: ExperimentConfig, n: int, channels: int):
@@ -557,12 +545,12 @@ def _monte_carlo(block, trials: int, seed: int):
     return _monte_carlo_rows([block], trials, seed)[0][:2]
 
 
-def simulate_mse(design_: QuantizerDesign, scenario, trials: int, seed: int,
-                 dither: bool = True) -> ResultRow:
-    """Empirical total MSE of a designed pipeline on a scenario."""
+def simulate_mse(design_: QuantizerDesign, scenario, trials: int,
+                 seed: int) -> ResultRow:
+    """Empirical total MSE of a designed pipeline on a scenario; the ADC
+    dithers when the design's quantizer spec says so."""
     start = time.perf_counter()
-    est, se = _monte_carlo(_design_errors(scenario, design_, dither), trials,
-                           seed)
+    est, se = _monte_carlo(_design_errors(scenario, design_), trials, seed)
     elapsed = (time.perf_counter() - start) * 1000.0
     return ResultRow(axis=float("nan"), method="task_based", metric="mse",
                      estimate=est, std_error=se, trials=trials,

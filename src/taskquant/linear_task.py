@@ -213,15 +213,12 @@ def excess_mse(analog, model: LinearTaskModel, support: float,
 
 
 def fixed_combiner_design(analog, model: LinearTaskModel, levels: int,
-                          support_scale: float, *, singular_values=(),
-                          waterline: float = float("nan")) -> QuantizerDesign:
+                          support_scale: float) -> QuantizerDesign:
     """Shared ADC and Wiener digital matrix for a given combiner.
 
     The support covers support_scale standard deviations of the loudest
     combined channel, with the same dither margin as the joint design; the
     digital matrix and the predicted excess MSE come from one Wiener solve.
-    singular_values and waterline are carried into the design for callers
-    that derived the combiner from a water-filled one.
     """
     _, margin = overload_safe_support(support_scale, levels, 1)
     peak = np.einsum("ij,jk,ik->i", analog, model.obs_cov, analog).max()
@@ -233,7 +230,7 @@ def fixed_combiner_design(analog, model: LinearTaskModel, levels: int,
     predicted = max(_excess(model, cross, solved), 0.0)
     return QuantizerDesign(analog=analog, quantizer=spec, digital=solved.T,
                            predicted_excess_mse=predicted,
-                           singular_values=singular_values, waterline=waterline)
+                           singular_values=(), waterline=float("nan"))
 
 
 def waterfill(singvals, margin: float, levels: int, channels: int):
@@ -397,13 +394,23 @@ def recommend_quantizers(model: LinearTaskModel) -> int:
     return int(np.count_nonzero(sing > 1e-10 * sing[0]))
 
 
+def _quantize(z, spec: UniformQuantizerSpec, rng: np.random.Generator | None):
+    """z through the ADC `spec`: dithered exactly when spec.dithered, which
+    requires an rng."""
+    if not spec.dithered:
+        return uniform_quantize(z, spec)
+    if rng is None:
+        raise ValueError("dithered estimation requires an rng")
+    return dithered_quantize(z, spec, rng)
+
+
 def estimate(design_: QuantizerDesign, x, rng: np.random.Generator | None = None,
-             dither: bool | None = None, combined: bool = False) -> np.ndarray:
+             combined: bool = False) -> np.ndarray:
     """Run the pipeline on observations: combine, quantize, recover.
 
     x may be a single observation (n,) or a batch (..., n). With combined=True,
     x already holds the combiner outputs (..., channels) and only quantization
-    and recovery run. dither defaults to the quantizer's own flag; enabling it
+    and recovery run. The quantizer dithers when its spec says so; that
     requires an rng.
     """
     x = np.asarray(x, dtype=float)
@@ -412,16 +419,9 @@ def estimate(design_: QuantizerDesign, x, rng: np.random.Generator | None = None
         raise ValueError(
             f"input dimension {x.shape[-1]} does not match the combiner's "
             f"{'channel count' if combined else 'width'} {width}")
-    if dither is None:
-        dither = design_.quantizer.dithered
     if not combined:
         x = x @ design_.analog.T
     # rebinding x frees a combined input the caller no longer holds before
     # the recovery product is allocated
-    if dither:
-        if rng is None:
-            raise ValueError("dithered estimation requires an rng")
-        x = dithered_quantize(x, design_.quantizer, rng)
-    else:
-        x = uniform_quantize(x, design_.quantizer)
+    x = _quantize(x, design_.quantizer, rng)
     return np.asarray(x) @ design_.digital.T

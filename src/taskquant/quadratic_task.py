@@ -150,13 +150,13 @@ class LiftedTaskModel:
 
     def estimate(self, design_: QuantizerDesign, x,
                  rng: np.random.Generator | None = None,
-                 dither: bool | None = None, combiner=None) -> np.ndarray:
+                 combiner=None) -> np.ndarray:
         """The pipeline on the lift of x, through the quadratic forms of
         `combiner` (`self.combiner(design_)`, built here when not given)."""
         stacked, shift = self.combiner(design_) if combiner is None else combiner
         combined = _form_values(x, stacked)
         combined -= shift
-        out = estimate(design_, combined, rng=rng, dither=dither, combined=True)
+        out = estimate(design_, combined, rng=rng, combined=True)
         out += self.offsets
         return out
 

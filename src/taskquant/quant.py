@@ -31,7 +31,9 @@ class UniformQuantizerSpec:
     The output alphabet is the set of cell midpoints
     ``-support + spacing * (l + 1/2)`` for ``l = 0, ..., levels - 1``; inputs
     beyond the support saturate to the outermost level. With two levels this
-    is a sign quantizer with output ``+-support/2``.
+    is a sign quantizer with output ``+-support/2``. `dithered` says whether
+    the ADC adds non-subtractive uniform dither one cell wide before
+    quantizing; pipelines and Monte Carlo rows dither exactly when it is set.
     """
 
     levels: int

@@ -85,7 +85,7 @@ def test_criterion_03_analytic_vs_simulation():
             count = min(20000, trials - done)
             s, x = sc.sampler(rng, count)
             ideal = x @ sc.model.task_matrix.T
-            shat = estimate(des, x, rng=rng, dither=True)
+            shat = estimate(des, x, rng=rng)
             excess_sum += ((ideal - shat) ** 2).sum()
             done += count
         empirical = excess_sum / trials

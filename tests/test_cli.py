@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from taskquant import cli, harness, scenarios
+from taskquant import io as tbq
 from taskquant.errors import ConfigError
 from taskquant.hardware import PhaseOnly, constrained_design
 
@@ -75,6 +76,25 @@ def test_design_and_simulate(isi_config, tmp_path, capsys):
                      "--trials", "50"]) == 0
     printed = capsys.readouterr().out.splitlines()
     assert printed[0] == "axis,method,metric,estimate,std_error,trials"
+
+
+@pytest.mark.parametrize("dither", [True, False])
+def test_design_record_carries_the_config_dither(tmp_path, capsys, dither):
+    # the TBQ1 flag follows the config, so re-simulating the saved design
+    # gives the `simulate` row byte for byte
+    path, out = tmp_path / "isi.cfg", tmp_path / "design.tbq"
+    path.write_text(ISI_CFG.replace("levels = 16", "levels = 4").replace(
+        "trials = 400", "trials = 20000").replace(
+        "dither = true", f"dither = {str(dither).lower()}"))
+    assert cli.main(["design", "--config", str(path),
+                     "--output", str(out)]) == 0
+    assert out.read_bytes()[21] == int(dither)       # the dither flag
+    capsys.readouterr()
+    assert cli.main(["simulate", "--config", str(path)]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    again = harness.simulate_mse(tbq.load_design(out), scenarios.isi_scenario(),
+                                 20000, harness.derive_seed(7, "task_based", 0))
+    assert row[3:5] == [repr(again.estimate), repr(again.std_error)]
 
 
 def test_bound_command(isi_config, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,8 +20,8 @@ def test_result_row_csv_format():
 def test_simulate_mse_matches_prediction_and_is_deterministic():
     sc = scenarios.isi_scenario()
     des = design(sc.model, 8, 16)
-    row1 = harness.simulate_mse(des, sc, 20000, seed=5, dither=True)
-    row2 = harness.simulate_mse(des, sc, 20000, seed=5, dither=True)
+    row1 = harness.simulate_mse(des, sc, 20000, seed=5)
+    row2 = harness.simulate_mse(des, sc, 20000, seed=5)
     assert row1.estimate == row2.estimate
     assert row1.std_error == row2.std_error
     total = sc.model.mmse_floor + des.predicted_excess_mse
@@ -40,10 +41,10 @@ def test_simulate_mse_agrees_with_full_observation_reference(case):
 
     def reference(rng, count):
         s, x = sc.sampler(rng, count)
-        return ((s - estimate(des, x, rng=rng, dither=True)) ** 2).sum(axis=1)
+        return ((s - estimate(des, x, rng=rng)) ** 2).sum(axis=1)
 
     ref, ref_se = harness._monte_carlo(reference, trials, seed=6)
-    row = harness.simulate_mse(des, sc, trials, seed=5, dither=True)
+    row = harness.simulate_mse(des, sc, trials, seed=5)
     assert abs(row.estimate - ref) <= 3 * np.hypot(row.std_error, ref_se)
     assert row.std_error <= ref_se
 
@@ -51,16 +52,85 @@ def test_simulate_mse_agrees_with_full_observation_reference(case):
 def test_simulate_mse_single_trial_has_no_std_error():
     sc = scenarios.isi_scenario()
     des = design(sc.model, 8, 16)
-    row = harness.simulate_mse(des, sc, 1, seed=5, dither=True)
+    row = harness.simulate_mse(des, sc, 1, seed=5)
     assert np.isnan(row.std_error)
 
 
 def test_non_dithered_path_also_works():
     sc = scenarios.isi_scenario()
     des = design(sc.model, 8, 16)
-    row = harness.simulate_mse(des, sc, 20000, seed=5, dither=False)
+    des = dataclasses.replace(des, quantizer=dataclasses.replace(
+        des.quantizer, dithered=False))
+    row = harness.simulate_mse(des, sc, 20000, seed=5)
     total = sc.model.mmse_floor + des.predicted_excess_mse
     assert row.estimate == pytest.approx(total, rel=0.10)
+
+
+# undithered rows at 3000 trials and seed 11, from the code before the
+# quantizer spec carried the dither switch
+_UNDITHERED_ROWS = {
+    ("isi", "task_based", (16.0, 24.0)): [
+        "16.0,task_based,mse,4.32215748575923,0.015126568970347405,3000",
+        "24.0,task_based,mse,3.2141139539044454,0.002930299346318851,3000"],
+    ("isi", "constrained", (16.0, 24.0)): [
+        "16.0,constrained,mse,6.012165386205817,0.032069307637046,3000",
+        "24.0,constrained,mse,5.203600808502425,0.018707563104340658,3000"],
+    ("isi", "mmse_then_quantize", (16.0, 24.0)): [
+        "16.0,mmse_then_quantize,mse,4.313292346379601,0.016639022244331732,3000",
+        "24.0,mmse_then_quantize,mse,3.315320435601725,0.0036216076415028883,3000"],
+    ("isi", "digital_only", (240.0, 360.0)): [
+        "240.0,digital_only,mse,5.171066121262881,0.04501135769325293,3000",
+        "360.0,digital_only,mse,3.7785235376164215,0.037795694836449255,3000"],
+    ("covariance", "task_based", (12.0, 24.0)): [
+        "12.0,task_based,mse,0.667474332330057,0.013431807073832302,3000",
+        "24.0,task_based,mse,0.0490874849040585,0.0014704079628242936,3000"],
+    ("covariance", "mmse_then_quantize", (12.0, 24.0)): [
+        "12.0,mmse_then_quantize,mse,8.11543187891544,0.052454171427458375,3000",
+        "24.0,mmse_then_quantize,mse,0.3613620792841354,0.002506127538616712,3000"],
+    ("covariance", "digital_only", (12.0, 24.0)): [
+        "12.0,digital_only,mse,14.06408805676297,0.08857724378228264,3000",
+        "24.0,digital_only,mse,1.992665714959421,0.029513528424356467,3000"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNDITHERED_ROWS),
+                         ids=lambda case: "-".join(case[:2]))
+def test_config_dither_switches_every_quantizer(monkeypatch, case):
+    # the config's dither reaches every ADC of every MSE method through its
+    # quantizer spec, whichever module makes the call
+    scenario, method, grid = case
+    calls = {"dithered_quantize": 0, "uniform_quantize": 0}
+    for module in [m for name, m in sys.modules.items()
+                   if name.split(".")[0] == "taskquant"]:
+        for name in calls:
+            original = getattr(module, name, None)
+            if original is not None:
+                monkeypatch.setattr(module, name, _counting(original, calls, name))
+    rows = {}
+    for dither in (False, True):
+        cfg = ExperimentConfig(
+            scenario=scenario, method=method, grid=grid, trials=3000, seed=11,
+            channels=8 if scenario == "isi" else None, dither=dither,
+            constraint="phase_only" if method == "constrained" else None)
+        rows[dither] = [r.csv_line().split(",") for r in harness.sweep(cfg)
+                        if r.method != "bound"]
+        assert calls["uniform_quantize" if dither else "dithered_quantize"] == 0
+        assert calls["dithered_quantize" if dither else "uniform_quantize"] > 0
+        calls.update(dithered_quantize=0, uniform_quantize=0)
+    # the last bits of the isi rows move with the BLAS thread count
+    for got, want in zip(rows[False], _UNDITHERED_ROWS[case], strict=True):
+        want = want.split(",")
+        assert got[:3] + got[5:] == want[:3] + want[5:]
+        assert [float(v) for v in got[3:5]] == pytest.approx(
+            [float(v) for v in want[3:5]], rel=1e-12, abs=0.0)
+    assert rows[True] != rows[False]
+
+
+def _counting(fn, calls, name):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return counted
 
 
 def test_stream_separation():
@@ -141,7 +211,7 @@ def test_std_error_honesty():
     # independent repetitions stay within 3 reported standard errors
     sc = scenarios.isi_scenario()
     des = design(sc.model, 8, 8)
-    rows = [harness.simulate_mse(des, sc, 2000, seed=s, dither=True)
+    rows = [harness.simulate_mse(des, sc, 2000, seed=s)
             for s in range(100)]
     grand = np.mean([r.estimate for r in rows])
     hits = sum(abs(r.estimate - grand) <= 3 * r.std_error for r in rows)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -495,7 +497,8 @@ def test_estimate_trace_is_computed_once(monkeypatch):
 def test_estimate_deterministic_pipeline():
     model = random_model(np.random.default_rng(15), n=6, k=2)
     des = design(model, 2, 4)
-    out = estimate(des, np.zeros(6), dither=False)
+    des = replace(des, quantizer=replace(des.quantizer, dithered=False))
+    out = estimate(des, np.zeros(6))
     mid = des.quantizer.alphabet()[des.quantizer.levels // 2]
     np.testing.assert_allclose(out, des.digital @ np.full(2, mid))
 
@@ -504,10 +507,11 @@ def test_estimate_fine_quantization_limit():
     rng = np.random.default_rng(16)
     model = random_model(rng, n=6, k=2)
     des = design(model, 2, 2 ** 14)
+    des = replace(des, quantizer=replace(des.quantizer, dithered=False))
     # stay well inside the support so only the fine-cell error remains
     chol = np.linalg.cholesky(model.obs_cov)
     x = 0.3 * rng.standard_normal((64, 6)) @ chol.T
-    out = estimate(des, x, dither=False)
+    out = estimate(des, x)
     # worst case: half a cell per channel, propagated through the recovery
     bound = np.abs(des.digital).sum(axis=1).max() * des.quantizer.spacing / 2
     np.testing.assert_allclose(out, x @ (des.digital @ des.analog).T,
@@ -517,8 +521,9 @@ def test_estimate_fine_quantization_limit():
 def test_estimate_dimension_mismatch():
     model = random_model(np.random.default_rng(17), n=6, k=2)
     des = design(model, 2, 4)
+    des = replace(des, quantizer=replace(des.quantizer, dithered=False))
     with pytest.raises(ValueError):
-        estimate(des, np.zeros(5), dither=False)
+        estimate(des, np.zeros(5))
 
 
 def test_ill_conditioned_gram_reports_condition():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -141,12 +143,13 @@ def test_estimate_quadratic_fine_limit_and_offsets():
     lifted = to_linear_model(task)
     # lifted coordinates have heavy tails, so leave generous headroom
     des = design(lifted.model, lifted.model.k, 2 ** 12, support_scale=12.0)
+    des = replace(des, quantizer=replace(des.quantizer, dithered=False))
     x = rng.standard_normal((256, 3)) @ np.linalg.cholesky(cov).T
-    out = lifted.estimate(des, x, dither=False)
+    out = lifted.estimate(des, x)
     np.testing.assert_allclose(out, task.values(x), atol=0.05)
     # deterministic at x = 0 without dither
-    first = lifted.estimate(des, np.zeros((1, 3)), dither=False)
-    second = lifted.estimate(des, np.zeros((1, 3)), dither=False)
+    first = lifted.estimate(des, np.zeros((1, 3)))
+    second = lifted.estimate(des, np.zeros((1, 3)))
     np.testing.assert_allclose(first, second)
 
 
@@ -193,10 +196,11 @@ def test_lifted_estimate_matches_estimate_on_the_lift():
     forms = tuple(0.5 * (m + m.T) for m in rng.standard_normal((3, 4, 4)))
     lifted = to_linear_model(QuadraticTask(forms, cov))
     des = design(lifted.model, lifted.model.k, 2 ** 12, support_scale=12.0)
+    des = replace(des, quantizer=replace(des.quantizer, dithered=False))
     x = rng.standard_normal((2000, 4)) @ np.linalg.cholesky(cov).T
     np.testing.assert_array_equal(
-        lifted.estimate(des, x, dither=False),
-        estimate(des, lift(x, cov), dither=False) + lifted.offsets)
+        lifted.estimate(des, x),
+        estimate(des, lift(x, cov)) + lifted.offsets)
 
 
 def test_form_validation():
