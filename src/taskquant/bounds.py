@@ -49,8 +49,9 @@ def gaussian_mmse(mixing, prior_cov, noise_var: float):
     """Linear MMSE estimator and its error for x = H s + w, w white Gaussian.
 
     mixing is the n x k matrix H, prior_cov the covariance of s. Returns
-    (gamma, mmse) with gamma the k x n estimator matrix and mmse the trace of
-    the error covariance.
+    (gamma, mmse, obs_cov) with gamma the k x n estimator matrix, mmse the
+    trace of the error covariance and obs_cov = H cov_s H^T + noise_var I the
+    observation covariance.
     """
     h = np.atleast_2d(np.asarray(mixing, dtype=float))
     cov_s = np.atleast_2d(np.asarray(prior_cov, dtype=float))
@@ -60,7 +61,7 @@ def gaussian_mmse(mixing, prior_cov, noise_var: float):
                                     "observation Gram matrix is ill-conditioned")
     gamma = np.linalg.solve(gram, h_cov).T
     mmse = float(np.trace(cov_s - gamma @ h @ cov_s))
-    return gamma, max(mmse, 0.0)
+    return gamma, max(mmse, 0.0), gram
 
 
 def indirect_drf(bound: SpectrumBound) -> float:

@@ -56,22 +56,13 @@ def _load(args) -> harness.ExperimentConfig:
     return dataclasses.replace(harness.load_config(args.config), **overrides)
 
 
-def _design_for_config(cfg: harness.ExperimentConfig):
-    """The configured method's design, as its sweep builds it at the config's
-    one-point budget."""
-    scenario = harness.build_scenario(cfg)
-    if cfg.method in harness._MSE_METHODS:
-        bits = harness.point_bits(cfg, scenario, cfg.method)
-        des = harness._mse_predictor(cfg, scenario, bits)[1]
-        if isinstance(des, QuantizerDesign):
-            return scenario, des
-    raise ConfigError(f"[sweep] method: {cfg.method} on {scenario.name} has "
-                      f"no combiner design")
-
-
 def _cmd_design(args) -> int:
     cfg = _load(args)
-    scenario, des = _design_for_config(cfg)
+    scenario = harness.build_scenario(cfg)
+    des = harness.pipeline(cfg, scenario)[0]
+    if not isinstance(des, QuantizerDesign):
+        raise ConfigError(f"[sweep] method: {cfg.method} on {scenario.name} has "
+                          f"no combiner design")
     waterline = "" if np.isnan(des.waterline) else f"waterline={des.waterline:.6g} "
     print(f"scenario={scenario.name} channels={des.channels} "
           f"levels={des.quantizer.levels} support={des.quantizer.support:.6g} "
@@ -84,19 +75,7 @@ def _cmd_design(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
-    scenario = harness.build_scenario(cfg)
-    if cfg.axis == "snr_db":
-        if cfg.snr_db is None:
-            raise ConfigError("[scenario] snr_db: required to simulate one "
-                              "SNR point")
-        point = float(cfg.snr_db)
-    else:
-        point = harness.point_bits(cfg, scenario, cfg.method)
-        # a one-point grid would restart the support-scale schedule
-        cfg = dataclasses.replace(cfg, support_scale_range=None,
-                                  support_scale=harness._support_scale_at(cfg, point))
-    # bound rows follow the grid rows, so the first row is the point's own
-    rows = harness.sweep(dataclasses.replace(cfg, grid=(point,), output=None))[:1]
+    rows = [harness.simulate(cfg)]
     harness.write_csv(rows, sys.stdout)
     print(f"# wall_time_ms={rows[0].wall_time_ms:.1f}", file=sys.stderr)
     if cfg.output:

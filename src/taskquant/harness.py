@@ -41,10 +41,12 @@ __all__ = [
     "feasible_support_scale",
     "quantizer_count",
     "point_bits",
+    "pipeline",
     "bound_row",
     "simulate_mse",
     "simulate_ber",
     "sweep",
+    "simulate",
     "write_csv",
     "save_csv",
     "train_deep_estimator",
@@ -299,8 +301,12 @@ def quantizer_count(method: str, scenario, channels: Optional[int]) -> int:
     return channels or recommend_quantizers(scenario.model)
 
 
-def point_bits(config: ExperimentConfig, scenario, method: str) -> float:
-    """Total bits of a one-point command (`design`, `simulate`) for `method`.
+_MSE_METHODS = ("task_based", "constrained", "mmse_then_quantize",
+                "digital_only")
+
+
+def point_bits(config: ExperimentConfig, scenario) -> float:
+    """Total bits of the configured method's one point (`design`, `simulate`).
 
     `rate_bits` when set, otherwise the configured `levels` on each of the
     method's quantizers; `levels_for` maps that budget back to `levels`.
@@ -309,33 +315,17 @@ def point_bits(config: ExperimentConfig, scenario, method: str) -> float:
         return float(config.rate_bits)
     if config.levels is None:
         raise ConfigError("[design] levels or [sweep] rate_bits: one is required")
-    channels = quantizer_count(method, scenario, config.channels)
+    channels = quantizer_count(config.method, scenario, config.channels)
     return channels * float(np.log2(config.levels))
 
 
-_MSE_METHODS = ("task_based", "constrained", "mmse_then_quantize",
-                "digital_only")
+def pipeline(config: ExperimentConfig, scenario, bits: Optional[float] = None):
+    """(design, realized bits, block (rng, count) -> squared errors) of the
+    configured MSE method at `bits`, or at `point_bits` when `bits` is unset.
 
-
-def _rate_levels(config: ExperimentConfig, scenario, bits: float):
-    """(levels per quantizer, quantizer count) of a rate-axis row at `bits`.
-
-    The per-dimension baseline on a quadratic scenario floors its levels at
-    two; every other method needs at least 1 bit per quantizer.
-    """
-    method = config.method
-    channels = quantizer_count(method, scenario, config.channels)
-    floor = scenario.kind == "quadratic" and method == "digital_only"
-    return levels_for(bits, channels, floor_at_two=floor), channels
-
-
-def _mse_predictor(config: ExperimentConfig, scenario, bits: float):
-    """Build the per-grid-point block function (rng, count) -> squared errors.
-
-    Returns (block function, design-or-spec, realized total bits); the
-    realized budget can fall below the nominal one when 2^bits is not a
-    perfect power of the quantizer count, and exceed it for the
-    per-dimension baseline whose levels floor at two.
+    The design is the ADC spec alone for the per-dimension baselines on a
+    quadratic scenario. Realized bits can fall short of `bits`, or exceed
+    them for the quadratic `digital_only`, whose levels floor at two.
     """
     method = config.method
     if method not in _MSE_METHODS:
@@ -343,8 +333,12 @@ def _mse_predictor(config: ExperimentConfig, scenario, bits: float):
     quadratic = scenario.kind == "quadratic"
     if method == "constrained" and quadratic:
         raise ConfigError("[sweep] method: constrained applies to linear scenarios")
+    if bits is None:
+        bits = point_bits(config, scenario)
     model = scenario.model
-    levels, channels = _rate_levels(config, scenario, bits)
+    channels = quantizer_count(method, scenario, config.channels)
+    levels = levels_for(bits, channels,
+                        floor_at_two=quadratic and method == "digital_only")
     scale = feasible_support_scale(_support_scale_at(config, bits), levels)
     realized = channels * math.log2(levels)
 
@@ -360,7 +354,7 @@ def _mse_predictor(config: ExperimentConfig, scenario, bits: float):
             predict = lambda _, x, rng: task.values(_quantize(x, spec, rng))
         spec = UniformQuantizerSpec(levels, scale * float(std.max()),
                                     dithered=config.dither)
-        return _squared_errors(scenario, predict), spec, realized
+        return spec, realized, _squared_errors(scenario, predict)
 
     if method == "task_based":
         des = design(model, channels, levels, scale)
@@ -374,9 +368,9 @@ def _mse_predictor(config: ExperimentConfig, scenario, bits: float):
     des = replace(des, quantizer=replace(des.quantizer, dithered=config.dither))
     if method == "digital_only":
         # A = I: the conditional draw would save little, so sample x itself
-        return (_squared_errors(scenario, lambda _, x, rng: estimate(
-            des, x, rng=rng)), des, realized)
-    return _design_errors(scenario, des), des, realized
+        return des, realized, _squared_errors(scenario, lambda _, x, rng: estimate(
+            des, x, rng=rng))
+    return des, realized, _design_errors(scenario, des)
 
 
 def _parse_constraint(config: ExperimentConfig, n: int, channels: int):
@@ -545,16 +539,22 @@ def _monte_carlo(block, trials: int, seed: int):
     return _monte_carlo_rows([block], trials, seed)[0][:2]
 
 
+def _timed_row(method: str, metric: str, make_block, trials: int,
+               seed: int) -> ResultRow:
+    """Timed row of the per-trial values of the block make_block() builds."""
+    start = time.perf_counter()
+    est, se = _monte_carlo(make_block(), trials, seed)
+    return ResultRow(axis=float("nan"), method=method, metric=metric,
+                     estimate=est, std_error=se, trials=trials,
+                     wall_time_ms=(time.perf_counter() - start) * 1000.0)
+
+
 def simulate_mse(design_: QuantizerDesign, scenario, trials: int,
                  seed: int) -> ResultRow:
     """Empirical total MSE of a designed pipeline on a scenario; the ADC
     dithers when the design's quantizer spec says so."""
-    start = time.perf_counter()
-    est, se = _monte_carlo(_design_errors(scenario, design_), trials, seed)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return ResultRow(axis=float("nan"), method="task_based", metric="mse",
-                     estimate=est, std_error=se, trials=trials,
-                     wall_time_ms=elapsed)
+    return _timed_row("task_based", "mse",
+                      lambda: _design_errors(scenario, design_), trials, seed)
 
 
 def _bit_error_fractions(detector, scenario):
@@ -571,12 +571,8 @@ def _bit_error_fractions(detector, scenario):
 
 def simulate_ber(detector, scenario, trials: int, seed: int) -> ResultRow:
     """Empirical bit error rate of a labels-from-observations detector."""
-    start = time.perf_counter()
-    est, se = _monte_carlo(_bit_error_fractions(detector, scenario), trials, seed)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return ResultRow(axis=float("nan"), method="map", metric="ber",
-                     estimate=est, std_error=se, trials=trials,
-                     wall_time_ms=elapsed)
+    return _timed_row("map", "ber", lambda: _bit_error_fractions(detector, scenario),
+                      trials, seed)
 
 
 def bound_row(scenario, bits: float) -> ResultRow:
@@ -608,9 +604,9 @@ def sweep(config: ExperimentConfig, verbose: bool = False):
     rate = config.axis == "rate_bits"
     if rate:   # SNR points each build their own scenario
         scenario = build_scenario(config)
-        if config.method in (*_MSE_METHODS, "deep"):
-            for value in config.grid:   # an infeasible point fails before any trial
-                _rate_levels(config, scenario, value)
+        if config.method == "deep":
+            for value in config.grid:   # an infeasible point trains no network
+                levels_for(value, quantizer_count("deep", scenario, config.channels))
     rows, realized = [], []
     if config.method == "deep":
         for idx, value in enumerate(config.grid):
@@ -624,10 +620,10 @@ def sweep(config: ExperimentConfig, verbose: bool = False):
             realized.append(None)
     else:
         blocks, setup = [], []
-        for value in config.grid:
+        for value in config.grid:   # an infeasible point fails before any trial
             start = time.perf_counter()
             if rate:
-                block, _, bits = _mse_predictor(config, scenario, value)
+                _, bits, block = pipeline(config, scenario, value)
             else:
                 block, bits = _ber_block(config, value), None
             blocks.append(block)
@@ -651,6 +647,24 @@ def sweep(config: ExperimentConfig, verbose: bool = False):
     if config.output:
         save_csv(rows, config.output)
     return rows
+
+
+def simulate(config: ExperimentConfig) -> ResultRow:
+    """The sweep row of the config's one point: `snr_db` on an SNR axis,
+    else `point_bits` at the std multiple the grid's schedule gives it."""
+    scenario = build_scenario(config)
+    if config.axis == "snr_db":
+        if config.snr_db is None:
+            raise ConfigError("[scenario] snr_db: required to simulate one "
+                              "SNR point")
+        point = float(config.snr_db)
+    else:
+        point = point_bits(config, scenario)
+        # a one-point grid would restart the support-scale schedule
+        config = replace(config, support_scale_range=None,
+                         support_scale=_support_scale_at(config, point))
+    # bound rows follow the grid rows, so the first row is the point's own
+    return sweep(replace(config, grid=(point,), output=None))[0]
 
 
 def _deep_mse_row(config: ExperimentConfig, scenario, bits: float,
@@ -682,7 +696,7 @@ def _ber_block(config: ExperimentConfig, snr_db: float):
         return _bit_error_fractions(
             lambda x: scenarios.map_detect(x, point, weights), point)
     if config.method == "quantized_map":
-        levels = levels_for(bits, point.n, floor_at_two=True)
+        levels = levels_for(bits, point.n)
         std = np.sqrt(np.diag(point.mixing @ point.mixing.T) + point.noise_var)
         support = feasible_support_scale(config.support_scale, levels) * std.max()
         table = scenarios.QuantizedMapTable(point, levels, support)

@@ -124,8 +124,7 @@ def _mixing_sampler(draw_tasks, mixing, noise_var):
 
 def _linear_gaussian(name: str, mixing, cov_s, noise_var: float) -> ScenarioSpec:
     """Estimate s ~ N(0, cov_s) from x = H s + w, w ~ N(0, noise_var I)."""
-    gamma, mmse = gaussian_mmse(mixing, cov_s, noise_var)
-    obs_cov = mixing @ cov_s @ mixing.T + noise_var * np.eye(mixing.shape[0])
+    gamma, mmse, obs_cov = gaussian_mmse(mixing, cov_s, noise_var)
     model = LinearTaskModel(obs_cov=obs_cov, task_matrix=gamma, mmse_floor=mmse)
     chol = np.linalg.cholesky(cov_s)
 

@@ -7,7 +7,7 @@ from taskquant.scenarios import dft_pilot_scenario
 
 
 def test_gaussian_mmse_identity():
-    gamma, mmse = gaussian_mmse(np.eye(3), np.eye(3), 1.0)
+    gamma, mmse, _ = gaussian_mmse(np.eye(3), np.eye(3), 1.0)
     np.testing.assert_allclose(gamma, 0.5 * np.eye(3))
     assert mmse == pytest.approx(1.5)
 
@@ -15,7 +15,7 @@ def test_gaussian_mmse_identity():
 def test_gaussian_mmse_vanishing_noise():
     rng = np.random.default_rng(0)
     h = rng.standard_normal((6, 3))
-    _, mmse = gaussian_mmse(h, np.eye(3), 1e-10)
+    _, mmse, _ = gaussian_mmse(h, np.eye(3), 1e-10)
     assert mmse < 1e-8
 
 

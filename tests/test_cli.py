@@ -255,6 +255,11 @@ def test_bound_rows_match_sweep_bound_rows(isi_config, tmp_path):
     ("sweep", {"levels = 16": f"constraint = partial\npartition = {OWNERS_NO_3}",
                "method = task_based": "method = constrained"},
      "[design] partition"),
+    # 6 bits over bpsk's 12 antennas: the detector's ADCs need 1 bit each
+    ("sweep", {"name = isi": "name = bpsk", "axis = rate_bits": "axis = snr_db",
+               "grid = 8 16": "grid = 6 10", "method = task_based":
+               "method = quantized_map", "dither = true": "rate_bits = 6"},
+     "fewer than 1 bit per quantizer"),
 ], ids=["grid-inf", "grid-overflow", "grid-nan", "channels-zero",
         "support-scale-negative", "support-scale-range-inf",
         "simulate-levels-zero", "trials-flag-zero", "csi-fraction-negative",
@@ -265,7 +270,8 @@ def test_bound_rows_match_sweep_bound_rows(isi_config, tmp_path):
         "hidden-width-fraction", "train-support-scale-inf", "steepness-negative",
         "unknown-key", "unknown-section", "sweep-and-simulate",
         "partition-fraction", "partition-negative", "partition-owner-8",
-        "partition-idle-last-adc", "partition-idle-middle-adc"])
+        "partition-idle-last-adc", "partition-idle-middle-adc",
+        "quantized-map-sub-bit-budget"])
 def test_malformed_config_exits_one_with_one_line(tmp_path, capsys, command,
                                                   edits, named):
     text = ISI_CFG
@@ -333,14 +339,12 @@ def test_simulate_runs_the_configured_levels():
         for levels in range(2, 257):
             cfg = harness.ExperimentConfig(scenario="isi", channels=channels,
                                            levels=levels)
-            bits = harness.point_bits(cfg, scenario, cfg.method)
+            bits = harness.point_bits(cfg, scenario)
             if harness.levels_for(bits, channels) != levels:
                 short.append((channels, levels))
     assert short == []
     cfg = harness.ExperimentConfig(scenario="isi", channels=8, levels=5)
-    _, des, _ = harness._mse_predictor(cfg, scenario,
-                                       harness.point_bits(cfg, scenario,
-                                                          cfg.method))
+    des = harness.pipeline(cfg, scenario)[0]
     assert des.quantizer.levels == 5
 
 
@@ -466,6 +470,7 @@ def test_one_point_commands_follow_the_support_scale_schedule(tmp_path,
     cfg = harness.load_config(path)
     fixed = dataclasses.replace(cfg, grid=(24.0,), support_scale=4.75,
                                 support_scale_range=None)
+    assert simulated == harness.simulate(cfg).csv_line()
     assert simulated == harness.sweep(fixed)[0].csv_line()
 
 

@@ -149,8 +149,7 @@ def test_sweep_row_accounting_and_levels_rule():
     assert methods.count("task_based") == 3
     assert methods.count("bound") == 3
     # per-quantizer levels follow floor(2^(bits/p))
-    _, des, realized = harness._mse_predictor(cfg, harness.build_scenario(cfg),
-                                              24.0)
+    des, realized, _ = harness.pipeline(cfg, harness.build_scenario(cfg), 24.0)
     assert des.quantizer.levels == 8
     assert realized == 24.0
 
@@ -188,7 +187,7 @@ def test_constrained_sweep_matches_prediction(constraint):
                               constraint=constraint, partition=partition)
     rows, unconstrained = harness.sweep(cfg)[:2], harness.sweep(base)[:2]
     for row, free in zip(rows, unconstrained):
-        _, des, _ = harness._mse_predictor(cfg, sc, row.axis)
+        des = harness.pipeline(cfg, sc, row.axis)[0]
         excess = des.predicted_excess_mse
         gap = row.estimate - (sc.model.mmse_floor + excess)
         assert abs(gap) <= 0.05 * excess + 3 * row.std_error
