@@ -196,14 +196,15 @@ def _dense_forward(layers, x, cache=None):
 
 
 def _dense_backward(layers, cache, upstream):
-    """(dW, db) per layer of `layers` in order, and the gradient at the
-    first layer's input, from the `cache` that `_dense_forward` filled."""
+    """(dW, db) per layer of `layers` in order, and the gradient at the first
+    layer's pre-activation, from the `cache` that `_dense_forward` filled."""
     grads = []
     for layer, (inp, out) in zip(reversed(layers), reversed(cache)):
         if layer.activation == "tanh":
             upstream = upstream * (1.0 - out ** 2)
         grads[:0] = [upstream.T @ inp, upstream.sum(axis=0)]
-        upstream = upstream @ layer.weights
+        if layer is not layers[0]:
+            upstream = upstream @ layer.weights
     return grads, upstream
 
 
@@ -230,11 +231,10 @@ def _loss_and_grad(net: Network, out, targets):
     if net.head == "estimation":
         diff = out - np.atleast_2d(np.asarray(targets, dtype=float))
         return float((diff ** 2).sum(axis=1).mean()), 2.0 * diff / batch
-    labels = np.asarray(targets, dtype=int)
+    picks = (np.arange(batch), np.asarray(targets, dtype=int))
     grad = _softmax(out)
-    picked = grad[np.arange(batch), labels]
-    value = float(-np.log(np.maximum(picked, _PROB_FLOOR)).mean())
-    grad[np.arange(batch), labels] -= 1.0
+    value = float(-np.log(np.maximum(grad[picks], _PROB_FLOOR)).mean())
+    grad[picks] -= 1.0
     grad /= batch
     return value, grad
 
@@ -257,7 +257,8 @@ def backward(net: Network, x, targets):
     out = _dense_forward(net.digital, q, digital_cache)
 
     value, grad = _loss_and_grad(net, out, targets)
-    digital_grads, dq = _dense_backward(net.digital, digital_cache, grad)
+    digital_grads, d_pre = _dense_backward(net.digital, digital_cache, grad)
+    dq = d_pre @ net.digital[0].weights
     dq_col = dq.T[:, :, None]
     d_outer = np.matmul(t, dq_col)[:, :, 0]
     t *= t

@@ -27,6 +27,7 @@ from .linear_task import (QuantizerDesign, _quantize, design, estimate,
                           fixed_combiner_design, recommend_quantizers)
 from .hardware import PartialConnect, PhaseOnly, Unconstrained, constrained_design
 from .quant import UniformQuantizerSpec
+from .scenarios import _BLOCK
 
 __all__ = [
     "CSV_HEADER",
@@ -54,7 +55,6 @@ __all__ = [
 ]
 
 CSV_HEADER = "axis,method,metric,estimate,std_error,trials"
-_BLOCK = 8192
 
 
 @dataclass
@@ -588,10 +588,10 @@ def bound_row(scenario, bits: float) -> ResultRow:
                      estimate=indirect_drf(bound), std_error=0.0, trials=0)
 
 
-def sweep(config: ExperimentConfig, verbose: bool = False):
+def sweep(config: ExperimentConfig, verbose: bool = False, scenario=None):
     """One row per grid point for the configured method, then bound rows for
     Gaussian linear scenarios on rate sweeps. Writes CSV when an output path
-    is configured.
+    is configured. A rate sweep builds its scenario unless given one.
 
     Monte Carlo rows run together, block by block, on the draws of the
     method's grid-0 stream, so a row depends only on its own grid point and
@@ -603,7 +603,8 @@ def sweep(config: ExperimentConfig, verbose: bool = False):
         raise ConfigError("[sweep] grid: at least one point required")
     rate = config.axis == "rate_bits"
     if rate:   # SNR points each build their own scenario
-        scenario = build_scenario(config)
+        if scenario is None:
+            scenario = build_scenario(config)
         if config.method == "deep":
             for value in config.grid:   # an infeasible point trains no network
                 levels_for(value, quantizer_count("deep", scenario, config.channels))
@@ -652,19 +653,21 @@ def sweep(config: ExperimentConfig, verbose: bool = False):
 def simulate(config: ExperimentConfig) -> ResultRow:
     """The sweep row of the config's one point: `snr_db` on an SNR axis,
     else `point_bits` at the std multiple the grid's schedule gives it."""
-    scenario = build_scenario(config)
+    scenario = None
     if config.axis == "snr_db":
         if config.snr_db is None:
             raise ConfigError("[scenario] snr_db: required to simulate one "
                               "SNR point")
         point = float(config.snr_db)
     else:
+        scenario = build_scenario(config)
         point = point_bits(config, scenario)
         # a one-point grid would restart the support-scale schedule
         config = replace(config, support_scale_range=None,
                          support_scale=_support_scale_at(config, point))
     # bound rows follow the grid rows, so the first row is the point's own
-    return sweep(replace(config, grid=(point,), output=None))[0]
+    return sweep(replace(config, grid=(point,), output=None),
+                 scenario=scenario)[0]
 
 
 def _deep_mse_row(config: ExperimentConfig, scenario, bits: float,

@@ -20,6 +20,10 @@ from .linear_task import LinearTaskModel
 from .quadratic_task import LiftedTaskModel, QuadraticTask, to_linear_model
 from .quant import UniformQuantizerSpec, _check_finite, _to_cells
 
+# Rows of one trial block: the harness's Monte Carlo block, and the largest
+# row section in which a sampler draws its noise.
+_BLOCK = 8192
+
 __all__ = [
     "ScenarioSpec",
     "isi_scenario",
@@ -97,9 +101,21 @@ class ScenarioSpec:
 
 
 def _observe(mixing, s, noise_std, rng) -> np.ndarray:
-    """x = s H^T + noise_std * w, with w standard normal from rng."""
+    """x = s H^T + std * w, with w standard normal from rng and std the
+    noise_std(rows) of each section of task rows: a number, or one per entry.
+
+    The noise goes in equal row sections of at most _BLOCK rows, so a large
+    training set holds one section of normals at a time, not the whole draw.
+    Draws split across calls equal one call, and equal sections leave no
+    lone row, which BLAS would round apart from the same row of a matrix, so
+    x is the one-draw x byte for byte. A call of at most one block, as every
+    trial block's is, draws in one section."""
     x = s @ mixing.T
-    x += noise_std * rng.standard_normal((s.shape[0], mixing.shape[0]))
+    sections = -(-s.shape[0] // _BLOCK)
+    pairs = (zip(np.array_split(s, sections), np.array_split(x, sections))
+             if sections > 1 else [(s, x)])
+    for rows, part in pairs:
+        part += noise_std(rows) * rng.standard_normal(part.shape)
     return x
 
 
@@ -117,7 +133,7 @@ def _mixing_sampler(draw_tasks, mixing, noise_var):
             g = rng.standard_normal((count, law[0].shape[0]))
             return g, g @ law[0]
         s = draw_tasks(rng, count)
-        return s, _observe(mixing, s, noise_std, rng)
+        return s, _observe(mixing, s, lambda rows: noise_std, rng)
 
     return sample
 
@@ -342,8 +358,8 @@ def csi_perturb(scenario: ScenarioSpec, fraction: float, seed: int) -> ScenarioS
     def train(rng: np.random.Generator, count: int):
         pert = np.random.default_rng([seed, int(rng.integers(2 ** 63))])
         s = draw_tasks(rng, count)
-        std = np.sqrt(noise_var + fraction * (s * s) @ magnitude.T)
-        return s, _observe(mixing, s, std, pert)
+        return s, _observe(mixing, s, lambda rows: np.sqrt(
+            noise_var + fraction * (rows * rows) @ magnitude.T), pert)
 
     return dataclasses.replace(scenario, name=f"{scenario.name}+csi",
                                train_sampler=train)

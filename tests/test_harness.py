@@ -622,3 +622,45 @@ def test_shared_sample_rows_match_rows_that_sample_themselves(
     monkeypatch.setattr(harness._Replay, "sample",
                         lambda self, sampler, count: sampler(self, count))
     assert [row.csv_line() for row in harness.sweep(cfg)] == shared
+
+
+@pytest.mark.parametrize("make", [
+    scenarios.dft_pilot_scenario,
+    pytest.param(lambda: scenarios.bpsk_scenario(10.0), id="bpsk_scenario")])
+@pytest.mark.parametrize("count", [1000, harness._BLOCK])
+def test_block_sampler_draws_its_noise_in_one_call(monkeypatch, make, count):
+    # a trial block is one noise section: one (count, n) normal draw, no split
+    sc = make()
+
+    def no_split(*args, **kwargs):
+        raise AssertionError("a block-sized draw split its rows")
+
+    monkeypatch.setattr(np, "array_split", no_split)
+    draws = harness._Replay(np.random.default_rng(9))
+    draws.sample(sc.sampler, count)
+    normals = [call for call, _ in draws._draws if call[0] == "standard_normal"]
+    assert normals[-1] == ("standard_normal", (count, sc.n))
+    assert normals.count(normals[-1]) == 1
+
+
+def test_simulate_builds_its_scenario_once(monkeypatch):
+    builds, build = [], harness.build_scenario
+
+    def counted(config):
+        builds.append(config.scenario)
+        return build(config)
+
+    monkeypatch.setattr(harness, "build_scenario", counted)
+    harness.simulate(ExperimentConfig(scenario="isi", rate_bits=24.0,
+                                      channels=8, trials=100, seed=1))
+    harness.simulate(ExperimentConfig(scenario="bpsk", method="map",
+                                      axis="snr_db", snr_db=8.0, trials=100))
+    assert builds == ["isi", "bpsk"]
+
+
+@pytest.mark.parametrize("axis", ["rate_bits", "snr_db"])
+def test_simulate_bpsk_without_snr_names_the_key(axis):
+    cfg = ExperimentConfig(scenario="bpsk", method="map", axis=axis,
+                           rate_bits=12.0, trials=100)
+    with pytest.raises(ConfigError, match=r"\[scenario\] snr_db: required"):
+        harness.simulate(cfg)

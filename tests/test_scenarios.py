@@ -326,3 +326,46 @@ def test_csi_train_sampler_draw_order_is_pinned(make):
     x_ref = s_ref @ sc.mixing.T + std * pert.standard_normal((count, sc.n))
     assert s.tobytes() == s_ref.tobytes()
     assert x.tobytes() == x_ref.tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 8192, 8193, 20001, 2 ** 15])
+@pytest.mark.parametrize("make, fraction", [
+    pytest.param(scenarios.dft_pilot_scenario, None, id="dft_pilot"),
+    pytest.param(scenarios.dft_pilot_scenario, 0.2, id="csi_dft_pilot"),
+    pytest.param(lambda: scenarios.bpsk_scenario(10.0), 0.2, id="csi_bpsk")])
+def test_train_samplers_equal_one_draw_bytes(make, fraction, count):
+    # sectioned noise against the whole-array formula, across section edges
+    sc = make()
+    if fraction is not None:
+        sc = scenarios.csi_perturb(sc, fraction, 13)
+    s, x = sc.train_sampler(np.random.default_rng(44), count)
+    ref = np.random.default_rng(44)
+    if fraction is None:
+        pert = ref
+        s_ref = _reference_tasks(sc, ref, count)
+        std = np.sqrt(sc.noise_var)
+    else:
+        pert = np.random.default_rng([13, int(ref.integers(2 ** 63))])
+        s_ref = _reference_tasks(sc, ref, count)
+        std = np.sqrt(sc.noise_var
+                      + fraction * (s_ref * s_ref) @ np.abs(sc.mixing).T)
+    x_ref = s_ref @ sc.mixing.T + std * pert.standard_normal((count, sc.n))
+    assert s.tobytes() == s_ref.tobytes()
+    assert x.tobytes() == x_ref.tobytes()
+
+
+@pytest.mark.parametrize("fraction, bound_mb", [(None, 64), (0.2, 70)])
+def test_train_draw_peak_memory_stays_below_three_full_arrays(fraction, bound_mb):
+    # tasks (10.5 MB) and observations (31.5 MB) plus one noise section; the
+    # whole-array draw held three (count, n) arrays at once, about 100 MB
+    sc = scenarios.dft_pilot_scenario()
+    if fraction is not None:
+        sc = scenarios.csi_perturb(sc, fraction, 13)
+    sc.train_sampler(np.random.default_rng(45), 2)   # imports outside the trace
+    tracemalloc.start()
+    try:
+        sc.train_sampler(np.random.default_rng(45), 2 ** 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 2 ** 20
