@@ -11,7 +11,7 @@ from .bounds import SpectrumBound, gaussian_mmse, indirect_drf
 from .errors import ConfigError, NumericalError, TrainingDiverged
 from .linear_task import (LinearTaskModel, QuantizerDesign, design,
                           equalizing_rotation, estimate, excess_mse,
-                          optimal_digital, recommend_quantizers, waterfill)
+                          optimal_digital, waterfill)
 from .quant import (LearnedQuantizerSpec, UniformQuantizerSpec,
                     dithered_quantize, learned_quantize, noise_variance,
                     overload_safe_support, uniform_quantize)
@@ -38,7 +38,6 @@ __all__ = [
     "excess_mse",
     "optimal_digital",
     "equalizing_rotation",
-    "recommend_quantizers",
     "waterfill",
     "QuadraticTask",
     "LiftedTaskModel",

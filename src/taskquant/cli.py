@@ -117,13 +117,10 @@ def _cmd_train(args) -> int:
         result = harness.train_deep_classifier(scenario, bits,
                                                settings=cfg.train, seed=cfg.seed,
                                                channels=cfg.channels)
-    elif scenario.kind == "linear":
+    else:
         result = harness.train_deep_estimator(scenario, bits, channels=cfg.channels,
                                               settings=cfg.train, seed=cfg.seed)
         print(f"test_mse={result['test_mse']:.6g} (se {result['test_se']:.2g})")
-    else:
-        raise ConfigError("[scenario] name: training applies to linear or "
-                          "classification scenarios")
     losses = result["history"]
     print(f"channels={result['channels']} levels={result['levels']} "
           f"epochs={len(losses)} first_loss={losses[0]:.6g} "

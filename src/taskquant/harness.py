@@ -24,7 +24,7 @@ from .bounds import SpectrumBound, indirect_drf
 from .deep import TrainSettings
 from .errors import ConfigError
 from .linear_task import (QuantizerDesign, _quantize, design, estimate,
-                          fixed_combiner_design, recommend_quantizers)
+                          fixed_combiner_design)
 from .hardware import PartialConnect, PhaseOnly, Unconstrained, constrained_design
 from .quant import UniformQuantizerSpec
 from .scenarios import _BLOCK
@@ -285,20 +285,17 @@ def quantizer_count(method: str, scenario, channels: Optional[int]) -> int:
     """Quantizers `method` spreads its bit budget over on `scenario`.
 
     mmse_then_quantize quantizes each task estimate and digital_only each
-    antenna; the deep estimator defaults to one quantizer per task entry and
-    the designed pipelines to the rank of the whitened task map, and a
-    configured channel count overrides either default.
+    antenna; the deep estimator and the designed pipelines default to one
+    quantizer per task entry, and a configured channel count overrides that.
     """
     if method == "digital_only":
         return scenario.n
     if method == "mmse_then_quantize":
         return scenario.k
-    if method == "deep":
-        return channels or scenario.k
-    if scenario.model is None:
+    if method != "deep" and scenario.model is None:
         raise ConfigError(f"[scenario] name: {scenario.name} has no design "
                           f"model for {method!r}")
-    return channels or recommend_quantizers(scenario.model)
+    return channels or scenario.k
 
 
 _MSE_METHODS = ("task_based", "constrained", "mmse_then_quantize",
@@ -593,50 +590,44 @@ def sweep(config: ExperimentConfig, verbose: bool = False, scenario=None):
     Gaussian linear scenarios on rate sweeps. Writes CSV when an output path
     is configured. A rate sweep builds its scenario unless given one.
 
-    Monte Carlo rows run together, block by block, on the draws of the
-    method's grid-0 stream, so a row depends only on its own grid point and
-    a one-point sweep reproduces it. Deep rows train one network per point,
-    each from its own stream."""
+    Each grid point builds its block function first (a design, a detector,
+    or a network trained from its own (method, grid point) stream); then
+    every row runs `[sweep] trials` trials together, block by block, on the
+    draws of the method's grid-0 stream, so a row depends only on its own
+    grid point and a one-point sweep reproduces it."""
     if config.method not in _METHODS:
         raise ConfigError(f"[sweep] method: unknown method {config.method!r}")
     if not config.grid:
         raise ConfigError("[sweep] grid: at least one point required")
     rate = config.axis == "rate_bits"
+    deep_rows = config.method == "deep"
     if rate:   # SNR points each build their own scenario
         if scenario is None:
             scenario = build_scenario(config)
-        if config.method == "deep":
+        if deep_rows:
             for value in config.grid:   # an infeasible point trains no network
                 levels_for(value, quantizer_count("deep", scenario, config.channels))
-    rows, realized = [], []
-    if config.method == "deep":
-        for idx, value in enumerate(config.grid):
-            start = time.perf_counter()
-            seed = derive_seed(config.seed, config.method, idx)
-            row = (_deep_mse_row(config, scenario, value, seed) if rate
-                   else _deep_ber_row(config, value, seed))
-            row.axis = value
-            row.wall_time_ms = (time.perf_counter() - start) * 1000.0
-            rows.append(row)
-            realized.append(None)
-    else:
-        blocks, setup = [], []
-        for value in config.grid:   # an infeasible point fails before any trial
-            start = time.perf_counter()
-            if rate:
-                _, bits, block = pipeline(config, scenario, value)
-            else:
-                block, bits = _ber_block(config, value), None
-            blocks.append(block)
-            realized.append(bits)
-            setup.append(time.perf_counter() - start)
-        stats = _monte_carlo_rows(blocks, config.trials,
-                                  derive_seed(config.seed, config.method, 0))
-        for value, (est, se, seconds), spent in zip(config.grid, stats, setup):
-            rows.append(ResultRow(axis=value, method=config.method,
-                                  metric="mse" if rate else "ber", estimate=est,
-                                  std_error=se, trials=config.trials,
-                                  wall_time_ms=(spent + seconds) * 1000.0))
+    blocks, realized, setup = [], [], []
+    # every point builds its block first: an infeasible one fails before any trial
+    for idx, value in enumerate(config.grid):
+        start = time.perf_counter()
+        if deep_rows:
+            block, bits = _deep_block(config, scenario, value, derive_seed(
+                config.seed, config.method, idx)), None
+        elif rate:
+            _, bits, block = pipeline(config, scenario, value)
+        else:
+            block, bits = _ber_block(config, value), None
+        blocks.append(block)
+        realized.append(bits)
+        setup.append(time.perf_counter() - start)
+    stats = _monte_carlo_rows(blocks, config.trials,
+                              derive_seed(config.seed, config.method, 0))
+    rows = [ResultRow(axis=value, method=config.method,
+                      metric="mse" if rate else "ber", estimate=est,
+                      std_error=se, trials=config.trials,
+                      wall_time_ms=(spent + seconds) * 1000.0)
+            for value, (est, se, seconds), spent in zip(config.grid, stats, setup)]
     if verbose:
         for row, bits in zip(rows, realized):
             budget = "" if bits is None else f" [realized {bits:g}/{row.axis:g} bits]"
@@ -670,15 +661,6 @@ def simulate(config: ExperimentConfig) -> ResultRow:
                  scenario=scenario)[0]
 
 
-def _deep_mse_row(config: ExperimentConfig, scenario, bits: float,
-                  seed: int) -> ResultRow:
-    result = train_deep_estimator(scenario, bits, channels=config.channels,
-                                  settings=config.train, seed=seed)
-    return ResultRow(axis=bits, method="deep", metric="mse",
-                     estimate=result["test_mse"], std_error=result["test_se"],
-                     trials=config.train.test_size)
-
-
 def _snr_point(config: ExperimentConfig, snr_db: float):
     """(scenario at snr_db, total bits) of an SNR-axis row."""
     point = build_scenario(replace(config, snr_db=snr_db))
@@ -708,15 +690,20 @@ def _ber_block(config: ExperimentConfig, snr_db: float):
     raise ConfigError(f"[sweep] method: {config.method!r} does not produce BER rows")
 
 
-def _deep_ber_row(config: ExperimentConfig, snr_db: float, seed: int) -> ResultRow:
-    point, bits = _snr_point(config, snr_db)
-    result = train_deep_classifier(point, bits, settings=config.train,
-                                   seed=seed, channels=config.channels)
-    hardened = result["hardened"]
-    row = simulate_ber(lambda x: deep.classify(hardened, x), point,
-                       config.trials, derive_seed(seed, "eval"))
-    row.method = "deep"
-    return row
+def _deep_block(config: ExperimentConfig, scenario, value: float, seed: int):
+    """Block function of the network trained from `seed` at one grid point:
+    per-trial squared errors of an estimator at `value` bits on a rate axis,
+    per-trial bit error fractions of a classifier at `value` dB otherwise."""
+    if config.axis == "rate_bits":
+        hardened = _train_and_harden(
+            scenario, value, quantizer_count("deep", scenario, config.channels),
+            "estimation", config.train, seed)["hardened"]
+        return _squared_errors(
+            scenario, lambda _, obs, rng: deep.forward(hardened, obs))
+    point, bits = _snr_point(config, value)
+    hardened = train_deep_classifier(point, bits, settings=config.train,
+                                     seed=seed, channels=config.channels)["hardened"]
+    return _bit_error_fractions(lambda x: deep.classify(hardened, x), point)
 
 
 def _train_and_harden(scenario, total_bits: float, p: int, head: str,
@@ -742,12 +729,10 @@ def train_deep_estimator(scenario, total_bits: float, channels: Optional[int],
     result = _train_and_harden(scenario, total_bits,
                                quantizer_count("deep", scenario, channels),
                                "estimation", settings, seed)
-    test_tasks, test_obs = scenario.sampler(stream(seed, "test-data"),
-                                            settings.test_size)
-    predicted = deep.forward(result["hardened"], test_obs)
-    err = ((test_tasks - predicted) ** 2).sum(axis=1)
-    result["test_mse"] = float(err.mean())
-    result["test_se"] = float(err.std(ddof=1) / math.sqrt(err.size))
+    hardened = result["hardened"]
+    result["test_mse"], result["test_se"] = _monte_carlo(
+        _squared_errors(scenario, lambda _, obs, rng: deep.forward(hardened, obs)),
+        settings.test_size, derive_seed(seed, "test-data"))
     return result
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "predicted_excess",
     "equalizing_rotation",
     "design",
-    "recommend_quantizers",
     "estimate",
 ]
 
@@ -381,17 +380,6 @@ def design(model: LinearTaskModel, channels: int, levels: int,
                            predicted_excess_mse=predicted_excess(
                                sing, model.k, channels, waterline),
                            singular_values=sing, waterline=waterline)
-
-
-def recommend_quantizers(model: LinearTaskModel) -> int:
-    """Largest useful ADC count: the rank of the whitened task map.
-
-    More quantizers than this only dilute the per-channel bit budget.
-    """
-    _, _, sing, _ = model.factors
-    if sing.size == 0 or sing[0] == 0:
-        return 0
-    return int(np.count_nonzero(sing > 1e-10 * sing[0]))
 
 
 def _quantize(z, spec: UniformQuantizerSpec, rng: np.random.Generator | None):

@@ -162,6 +162,33 @@ support_scale = 3.0
     assert np.all(np.diff(thresholds) > 0)
 
 
+def test_train_runs_the_estimator_a_covariance_sweep_trains(tmp_path, capsys):
+    # the quadratic scenario: a deep sweep trains and scores there, so must train
+    path = tmp_path / "cov.cfg"
+    path.write_text("""
+[scenario]
+name = covariance
+
+[sweep]
+method = deep
+grid = 24
+rate_bits = 24
+trials = 200
+seed = 3
+
+[train]
+epochs = 1
+train_size = 256
+test_size = 128
+""")
+    assert cli.main(["sweep", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("test_mse=")
+    assert out[1].startswith("channels=6 levels=16 ")   # one ADC per task entry
+
+
 def test_harden_requires_model(capsys):
     assert cli.main(["harden"]) == 1
 

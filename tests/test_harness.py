@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from taskquant import harness, io, quadratic_task, scenarios
+from taskquant import deep, harness, io, quadratic_task, scenarios
 from taskquant.errors import ConfigError
 from taskquant.harness import ExperimentConfig
 from taskquant.linear_task import design, estimate
@@ -312,7 +312,6 @@ def test_design_file_round_trip(tmp_path):
 
 
 def test_model_file_round_trip(tmp_path):
-    from taskquant import deep
     rng = np.random.default_rng(0)
     x = rng.standard_normal((32, 6))
     net = deep.build_network(rng, 6, 3, 2, 4, x,
@@ -664,3 +663,43 @@ def test_simulate_bpsk_without_snr_names_the_key(axis):
                            rate_bits=12.0, trials=100)
     with pytest.raises(ConfigError, match=r"\[scenario\] snr_db: required"):
         harness.simulate(cfg)
+
+
+_TINY_TRAINING = harness.TrainSettings(epochs=1, train_size=256, test_size=64)
+
+
+def test_deep_rows_run_the_sweeps_trials_on_its_draws():
+    # dft_pilot, not isi, whose deep estimator diverges; each point trains its
+    # own net, but every row scores it on the trials of the grid-0 stream
+    rate = ExperimentConfig(scenario="dft_pilot", method="deep", channels=40,
+                            grid=(120.0, 240.0), trials=300, seed=4,
+                            train=_TINY_TRAINING)
+    snr = ExperimentConfig(scenario="bpsk", method="deep", axis="snr_db",
+                           grid=(6.0, 10.0), rate_bits=12.0, trials=300, seed=4,
+                           train=_TINY_TRAINING)
+    rate_rows, snr_rows = ([r for r in harness.sweep(cfg) if r.method == "deep"]
+                           for cfg in (rate, snr))
+    assert [r.trials for r in rate_rows + snr_rows] == [300] * 4
+    sc = scenarios.dft_pilot_scenario()
+    draws = harness.derive_seed(rate.seed, "deep", 0)
+    for idx, row in enumerate(rate_rows):
+        net = harness.train_deep_estimator(
+            sc, row.axis, 40, _TINY_TRAINING,
+            harness.derive_seed(rate.seed, "deep", idx))["hardened"]
+        want = harness._monte_carlo(harness._squared_errors(
+            sc, lambda _, obs, rng: deep.forward(net, obs)), rate.trials, draws)
+        assert (row.estimate, row.std_error) == want
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_estimator_score_keeps_the_one_shot_bytes(seed):
+    # one block of test_size draws from the "test-data" stream, as the score
+    # was formed before it ran through the trial-block loop
+    sc = scenarios.dft_pilot_scenario()
+    settings = dataclasses.replace(_TINY_TRAINING, test_size=1024)
+    result = harness.train_deep_estimator(sc, 240.0, 40, settings, seed)
+    tasks, obs = sc.sampler(harness.stream(seed, "test-data"), 1024)
+    err = ((tasks - deep.forward(result["hardened"], obs)) ** 2).sum(axis=1)
+    assert repr(result["test_mse"]) == repr(float(err.mean()))
+    assert repr(result["test_se"]) == repr(float(err.std(ddof=1)
+                                                  / np.sqrt(err.size)))

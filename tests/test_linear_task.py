@@ -10,7 +10,7 @@ from taskquant.harness import levels_for
 from taskquant.linear_task import (LinearTaskModel, _fix_svd_signs, design,
                                    equalizing_rotation, estimate, excess_mse,
                                    optimal_digital, predicted_excess,
-                                   recommend_quantizers, waterfill)
+                                   waterfill)
 from taskquant.quant import (UniformQuantizerSpec, noise_variance,
                              overload_safe_support)
 
@@ -353,15 +353,6 @@ def test_overload_is_rare_at_four_sigma():
     assert rate < 1e-3
 
 
-def test_recommend_quantizers():
-    rng = np.random.default_rng(14)
-    model = random_model(rng, n=9, k=4)
-    assert recommend_quantizers(model) == 4
-    gamma = np.vstack([model.task_matrix[:2], model.task_matrix[1]])
-    dup = LinearTaskModel(obs_cov=model.obs_cov, task_matrix=gamma)
-    assert recommend_quantizers(dup) == 2
-
-
 def reference_fix_signs(vt):
     """The per-row loop `_fix_svd_signs` replaced."""
     for i in range(vt.shape[0]):
@@ -448,7 +439,6 @@ def test_constrained_after_design_factors_once(monkeypatch):
     model = random_model(np.random.default_rng(24), n=10, k=3)
     design(model, 3, 8, 3.0)
     constrained_design(model, PhaseOnly(), 3, 8, 3.0)
-    recommend_quantizers(model)
     assert len(calls) == 1
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from taskquant import scenarios
+from taskquant import harness, scenarios
 from taskquant.harness import feasible_support_scale, simulate_ber
-from taskquant.linear_task import design, recommend_quantizers
+from taskquant.linear_task import design
 from taskquant.quant import UniformQuantizerSpec
 
 # exhaustive-MAP bit error rate at 10 dB, seed-pinned; regression anchor
@@ -54,7 +54,7 @@ def test_isi_dimensions_and_covariance():
     sc = scenarios.isi_scenario()
     assert (sc.k, sc.n) == (8, 120)
     assert sc.prior_cov[0, 2] == pytest.approx(np.exp(-2))
-    assert recommend_quantizers(sc.model) == 8
+    assert harness.quantizer_count("task_based", sc, None) == 8
     assert sc.model.mmse_floor == pytest.approx(sc.analytic_mmse)
 
 
