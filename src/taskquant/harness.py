@@ -554,22 +554,34 @@ def simulate_mse(design_: QuantizerDesign, scenario, trials: int,
                       lambda: _design_errors(scenario, design_), trials, seed)
 
 
-def _bit_error_fractions(detector, scenario):
-    """Block function (rng, count) -> per-trial fraction of label bits wrong."""
-    k = scenario.k
+def _clean_draw(scenario):
+    """Sampler (rng, count) -> (labels, s H^T) of the scenario's noiseless
+    draw, the part of a trial block that every SNR point of a sweep shares."""
+    def draw(rng, count):
+        symbols, clean = scenario.sampler(rng, count, noise=False)
+        return scenarios.symbols_to_labels(symbols), clean
+
+    return draw
+
+
+def _bit_error_fractions(detector, scenario, clean):
+    """Block function (rng, count) -> per-trial fraction of label bits wrong,
+    on x = s H^T + std w: the noiseless draw `clean` (`_clean_draw`) that SNR
+    points share, plus the point's own std times normals drawn after it."""
+    noise_std, k = np.sqrt(scenario.noise_var), scenario.k
 
     def block(rng, count):
-        symbols, obs = rng.sample(scenario.sampler, count)
-        truth = scenarios.symbols_to_labels(symbols)
-        return scenarios.bit_errors(detector(obs), truth, k) / k
+        truth, x = rng.sample(clean, count)
+        x = noise_std * rng.standard_normal(x.shape) + x
+        return scenarios.bit_errors(detector(x), truth, k) / k
 
     return block
 
 
 def simulate_ber(detector, scenario, trials: int, seed: int) -> ResultRow:
     """Empirical bit error rate of a labels-from-observations detector."""
-    return _timed_row("map", "ber", lambda: _bit_error_fractions(detector, scenario),
-                      trials, seed)
+    return _timed_row("map", "ber", lambda: _bit_error_fractions(
+        detector, scenario, _clean_draw(scenario)), trials, seed)
 
 
 def bound_row(scenario, bits: float) -> ResultRow:
@@ -607,17 +619,21 @@ def sweep(config: ExperimentConfig, verbose: bool = False, scenario=None):
         if deep_rows:
             for value in config.grid:   # an infeasible point trains no network
                 levels_for(value, quantizer_count("deep", scenario, config.channels))
-    blocks, realized, setup = [], [], []
+    blocks, realized, setup, clean = [], [], [], None
     # every point builds its block first: an infeasible one fails before any trial
     for idx, value in enumerate(config.grid):
         start = time.perf_counter()
+        bits = value
+        if not rate:   # the SNR rows all read the first point's noiseless draw
+            scenario, bits = _snr_point(config, value)
+            clean = clean or _clean_draw(scenario)
         if deep_rows:
-            block, bits = _deep_block(config, scenario, value, derive_seed(
-                config.seed, config.method, idx)), None
+            block, bits = _deep_block(config, scenario, bits, derive_seed(
+                config.seed, config.method, idx), clean), None
         elif rate:
             _, bits, block = pipeline(config, scenario, value)
         else:
-            block, bits = _ber_block(config, value), None
+            block, bits = _ber_block(config, scenario, bits, clean), None
         blocks.append(block)
         realized.append(bits)
         setup.append(time.perf_counter() - start)
@@ -670,40 +686,39 @@ def _snr_point(config: ExperimentConfig, snr_db: float):
     return point, bits
 
 
-def _ber_block(config: ExperimentConfig, snr_db: float):
+def _ber_block(config: ExperimentConfig, point, bits: float, clean):
     """Block function (rng, count) -> per-trial bit error fractions of the
-    configured reference detector at snr_db. Every point draws the same
-    symbols and standard noise, scaled by the point's noise std. The
-    detector's constants are built here, once per point, not once per block."""
-    point, bits = _snr_point(config, snr_db)
+    configured reference detector at the SNR point `point` (`_snr_point`),
+    on the sweep's noiseless draw `clean`. The detector's constants are
+    built here, once per point, not once per block."""
     if config.method == "map":
         weights = scenarios.map_weights(point)
         return _bit_error_fractions(
-            lambda x: scenarios.map_detect(x, point, weights), point)
+            lambda x: scenarios.map_detect(x, point, weights), point, clean)
     if config.method == "quantized_map":
         levels = levels_for(bits, point.n)
         std = np.sqrt(np.diag(point.mixing @ point.mixing.T) + point.noise_var)
         support = feasible_support_scale(config.support_scale, levels) * std.max()
         table = scenarios.QuantizedMapTable(point, levels, support)
         return _bit_error_fractions(lambda x: scenarios.quantized_map_detect(
-            x, point, levels, support, table), point)
+            x, point, levels, support, table), point, clean)
     raise ConfigError(f"[sweep] method: {config.method!r} does not produce BER rows")
 
 
-def _deep_block(config: ExperimentConfig, scenario, value: float, seed: int):
-    """Block function of the network trained from `seed` at one grid point:
-    per-trial squared errors of an estimator at `value` bits on a rate axis,
-    per-trial bit error fractions of a classifier at `value` dB otherwise."""
+def _deep_block(config: ExperimentConfig, scenario, bits: float, seed: int, clean):
+    """Block function of the network trained from `seed` on one grid point's
+    scenario at `bits`: per-trial squared errors of an estimator on a rate
+    axis, per-trial bit error fractions of a classifier on the sweep's
+    noiseless draw `clean` otherwise."""
     if config.axis == "rate_bits":
         hardened = _train_and_harden(
-            scenario, value, quantizer_count("deep", scenario, config.channels),
+            scenario, bits, quantizer_count("deep", scenario, config.channels),
             "estimation", config.train, seed)["hardened"]
         return _squared_errors(
             scenario, lambda _, obs, rng: deep.forward(hardened, obs))
-    point, bits = _snr_point(config, value)
-    hardened = train_deep_classifier(point, bits, settings=config.train,
+    hardened = train_deep_classifier(scenario, bits, settings=config.train,
                                      seed=seed, channels=config.channels)["hardened"]
-    return _bit_error_fractions(lambda x: deep.classify(hardened, x), point)
+    return _bit_error_fractions(lambda x: deep.classify(hardened, x), scenario, clean)
 
 
 def _train_and_harden(scenario, total_bits: float, p: int, head: str,

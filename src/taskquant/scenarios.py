@@ -9,6 +9,7 @@ exhaustive detectors used as references.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional
@@ -43,7 +44,7 @@ class ScenarioSpec:
     name: str
     kind: str                       # "linear" | "quadratic" | "classification"
     sampler: Callable               # (rng, count) -> (tasks, observations);
-                                    # Gaussian linear kinds also take law=
+                                    # also law= and noise=, see _mixing_sampler
     model: Optional[LinearTaskModel] = None
     train_sampler: Optional[Callable] = None
     analytic_mmse: Optional[float] = None
@@ -124,15 +125,18 @@ def _mixing_sampler(draw_tasks, mixing, noise_var):
 
     Given a law (R, M, r) from `ScenarioSpec.conditional_law`, it draws only
     y = A x instead: it returns (g, y = g R) for p standard normals g per
-    trial, from which E[s | y] = g M.
+    trial, from which E[s | y] = g M. With noise=False it returns the
+    noiseless (tasks, s H^T) and draws no noise.
     """
     noise_std = np.sqrt(noise_var)
 
-    def sample(rng: np.random.Generator, count: int, law=None):
+    def sample(rng: np.random.Generator, count: int, law=None, noise=True):
         if law is not None:
             g = rng.standard_normal((count, law[0].shape[0]))
             return g, g @ law[0]
         s = draw_tasks(rng, count)
+        if not noise:
+            return s, s @ mixing.T
         return s, _observe(mixing, s, lambda rows: noise_std, rng)
 
     return sample
@@ -280,34 +284,37 @@ def map_detect(observations, scenario: ScenarioSpec, weights=None) -> np.ndarray
 
 class QuantizedMapTable:
     """The (scenario, levels, support) constants of `quantized_map_detect`,
-    built once for many batches: the ADC spec, the (n L x classes) table of
-    log cell probabilities and each antenna's first row in it, plus the CSR
-    row structure of the cell indicator (one unit entry per antenna), kept
-    for the largest batch so far and sliced for smaller ones."""
+    built once for many batches: the ADC spec, each antenna's (L x classes)
+    log cell probabilities, and the prefix table: for each cell code c_0
+    L^(d-1) + ... + c_(d-1) of the first d = `depth` antennas (most with
+    L^d <= 4096), the sum of their rows, added in antenna order."""
 
     def __init__(self, scenario: ScenarioSpec, levels: int, support: float):
-        # Deferred: scipy.special alone is about half of a cold start, and no
-        # other path in the package needs scipy.
-        from scipy.special import ndtr
         self.spec = UniformQuantizerSpec(levels, support)
         edges = -support + self.spec.spacing * np.arange(1, levels)  # interior
         bounds = np.concatenate([[-np.inf], edges, [np.inf]])[None, :, None]
         means = (scenario.symbols @ scenario.mixing.T).T[:, None, :]  # n x 1 x classes
-        cdf = ndtr((bounds - means) / np.sqrt(scenario.noise_var))
-        table = np.log(np.maximum(cdf[:, 1:] - cdf[:, :-1], 1e-300))
-        self.log_probs = table.reshape(-1, table.shape[2])
-        self.first_rows = levels * np.arange(scenario.n, dtype=np.int32)
-        self._ones = np.empty(0)
-        self._starts = np.zeros(1, dtype=np.int32)
+        t = (bounds - means) / np.sqrt(scenario.noise_var)
+        # Phi(t) = erfc(-t / sqrt 2) / 2, from the argument ndtr forms in cephes
+        cdf = 0.5 * np.frompyfunc(math.erfc, 1, 1)(t * -math.sqrt(0.5)).astype(float)
+        self.log_probs = np.log(np.maximum(cdf[:, 1:] - cdf[:, :-1], 1e-300))
+        self.depth = max(d for d in range(scenario.n + 1) if levels ** d <= 4096)
+        self.prefix = np.zeros((1, self.log_probs.shape[2]))
+        for rows in self.log_probs[:self.depth]:
+            self.prefix = (self.prefix[:, None] + rows).reshape(-1, rows.shape[1])
+        self.powers = float(levels) ** np.arange(self.depth - 1, -1, -1)
 
-    def structure(self, count: int):
-        """(unit data, row pointers) of a count-row indicator."""
-        n = self.first_rows.size
-        if self._starts.size <= count:
-            index = np.int32 if count * n < 2 ** 31 else np.intp
-            self._ones = np.ones(count * n)
-            self._starts = np.arange(0, count * n + 1, n, dtype=index)
-        return self._ones[:count * n], self._starts[:count + 1]
+    def scores(self, x) -> np.ndarray:
+        """(count x classes) log-likelihoods of the hypotheses: each trial's
+        prefix row, then one gather-add per later antenna, so a score is
+        0 + v_0 + v_1 + ... summed antenna by antenna."""
+        cells = _to_cells(np.array(x, dtype=float), self.spec)
+        codes = (cells[:, :self.depth] @ self.powers).astype(np.intp)
+        scores = np.take(self.prefix, codes, axis=0)
+        later = cells[:, self.depth:].T.astype(np.intp, order="C")
+        for rows, cell in zip(self.log_probs[self.depth:], later):
+            scores += np.take(rows, cell, axis=0)
+        return scores
 
 
 def quantized_map_detect(observations, scenario: ScenarioSpec, levels: int,
@@ -317,22 +324,15 @@ def quantized_map_detect(observations, scenario: ScenarioSpec, levels: int,
 
     Cells follow the ADC's own rule. Hypothesis u scores the sum over antennas
     of log P(cell | m_u), from exact Gaussian cell probabilities (outer cells
-    absorb the saturated tails): one product of a sparse (count x n L) cell
-    indicator, one entry per antenna, with the (n L x classes) table of log
-    cell probabilities. `table` is `QuantizedMapTable(scenario, levels,
-    support)`, built here when not given. Non-finite observations raise
-    ValueError."""
-    from scipy.sparse import csr_array
+    absorb the saturated tails): one gather from the prefix table of the first
+    antennas, then one gather-add per remaining antenna
+    (`QuantizedMapTable.scores`). `table` is `QuantizedMapTable(scenario,
+    levels, support)`, built here when not given. Non-finite observations
+    raise ValueError."""
     if table is None:
         table = QuantizedMapTable(scenario, levels, support)
-    x = np.atleast_2d(_check_finite(np.array(observations, dtype=float)))
-    count = x.shape[0]
-    ones, starts = table.structure(count)
-    index = _to_cells(x, table.spec).astype(starts.dtype)
-    index += table.first_rows
-    indicator = csr_array((ones, index.ravel(), starts),
-                          shape=(count, table.log_probs.shape[0]))
-    return np.argmax(indicator @ table.log_probs, axis=1)
+    return np.argmax(table.scores(np.atleast_2d(_check_finite(observations))),
+                     axis=1)
 
 
 def csi_perturb(scenario: ScenarioSpec, fraction: float, seed: int) -> ScenarioSpec:

@@ -1,5 +1,5 @@
-"""The package's import path stays free of scipy: only the bpsk
-quantized-MAP detector imports it, when it runs."""
+"""The package never imports scipy: importing it loads numpy alone, and
+the CLI runs with scipy blocked, the bpsk quantized-MAP detector too."""
 
 import subprocess
 import sys
@@ -17,6 +17,24 @@ channels = 8
 [sweep]
 grid = 8 16
 """
+
+
+QUANTIZED_MAP_CFG = """
+[scenario]
+name = bpsk
+
+[sweep]
+method = quantized_map
+axis = snr_db
+grid = 6 10
+rate_bits = 24
+trials = 3000
+"""
+
+SWEEP = ("import sys\n"
+         "{block}"
+         "from taskquant import cli\n"
+         "sys.exit(cli.main(['sweep', '--config', sys.argv[1]]))\n")
 
 
 def _run(code: str, *args: str) -> subprocess.CompletedProcess:
@@ -45,3 +63,15 @@ def test_bound_runs_without_scipy(tmp_path):
     lines = result.stdout.splitlines()
     assert lines[0] == "axis,method,metric,estimate,std_error,trials"
     assert len(lines) == 1 + 2
+
+
+def test_quantized_map_sweep_runs_without_scipy(tmp_path):
+    config = tmp_path / "bpsk.cfg"
+    config.write_text(QUANTIZED_MAP_CFG)
+    normal = _run(SWEEP.format(block=""), str(config))
+    blocked = _run(SWEEP.format(block="sys.modules['scipy'] = None\n"), str(config))
+    assert normal.returncode == 0, normal.stderr
+    assert blocked.returncode == 0, blocked.stderr
+    assert blocked.stdout == normal.stdout
+    assert normal.stdout.splitlines()[0] == "axis,method,metric,estimate,std_error,trials"
+    assert len(normal.stdout.splitlines()) == 1 + 2

@@ -559,13 +559,20 @@ def test_sampler_runs_once_per_block(monkeypatch, scenario, method):
     assert calls == [3]
 
 
-def test_snr_rows_call_one_sampler_per_point(monkeypatch):
+@pytest.mark.parametrize("method", ["map", "quantized_map"])
+def test_snr_sweep_samples_once_per_block(monkeypatch, method):
+    # the SNR points share each block's labels and s H^T: one sampler call
+    # per trial block for the whole sweep, and each row still equals the row
+    # of its own one-point sweep
     calls = _counted_scenarios(monkeypatch)
-    cfg = ExperimentConfig(scenario="bpsk", method="map", axis="snr_db",
+    cfg = ExperimentConfig(scenario="bpsk", method=method, axis="snr_db",
                            grid=(6.0, 8.0, 10.0), trials=harness._BLOCK + 5,
                            seed=5)
-    harness.sweep(cfg)
-    assert calls == [2, 2, 2]
+    rows = harness.sweep(cfg)
+    assert calls == [2, 0, 0]
+    for row, value in zip(rows, cfg.grid):
+        alone = harness.sweep(dataclasses.replace(cfg, grid=(value,)))
+        assert alone[0].csv_line() == row.csv_line()
 
 
 def _pair_sampler(rng, count):

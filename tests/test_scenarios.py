@@ -7,7 +7,7 @@ from scipy.special import ndtr
 from taskquant import harness, scenarios
 from taskquant.harness import feasible_support_scale, simulate_ber
 from taskquant.linear_task import design
-from taskquant.quant import UniformQuantizerSpec
+from taskquant.quant import UniformQuantizerSpec, _to_cells
 
 # exhaustive-MAP bit error rate at 10 dB, seed-pinned; regression anchor
 MAP_BER_10DB_ANCHOR = 0.0009875
@@ -181,6 +181,36 @@ def test_detectors_reject_non_finite_observations(detect, bad):
     x[3, 5] = bad
     with pytest.raises(ValueError, match="finite"):
         detect(x, sc)
+
+
+@pytest.mark.parametrize("levels, depth", [(2, 12), (3, 7), (8, 4), (64, 2)])
+def test_quantized_map_scores_equal_the_sequential_antenna_sum(levels, depth):
+    # the prefix table holds the first `depth` antennas' sums; every score is
+    # still 0 + v_0 + v_1 + ... added antenna by antenna, byte for byte
+    sc = scenarios.bpsk_scenario(10.0)
+    _, x = sc.sampler(np.random.default_rng(13), 5000)
+    table = scenarios.QuantizedMapTable(sc, levels, _support(sc, levels))
+    assert table.depth == depth
+    cells = _to_cells(x.copy(), table.spec).astype(int)
+    want = np.zeros((x.shape[0], sc.symbols.shape[0]))
+    for antenna in range(sc.n):
+        want = want + table.log_probs[antenna][cells[:, antenna]]
+    assert table.scores(x).tobytes() == want.tobytes()
+
+
+def test_quantized_map_table_probabilities_match_ndtr():
+    # at 2 levels the lower cell is (-inf, 0), so its probability is Phi(t)
+    # for t = -mean / std; one antenna with one class per grid value spans
+    # both tails. Equal logs to 1e-14 are equal probabilities to 1e-14
+    # relative, past the rounding of the logs themselves.
+    t = np.linspace(-12.0, 12.0, 2401)
+    sc = scenarios.ScenarioSpec(name="grid", kind="classification", sampler=None,
+                                mixing=np.ones((1, 1)), symbols=-t[:, None],
+                                noise_var=1.0)
+    table = scenarios.QuantizedMapTable(sc, 2, 1.0)
+    want = np.log(ndtr(t))
+    np.testing.assert_allclose(table.log_probs[0, 0], want, rtol=4e-16, atol=1e-14)
+    assert ndtr(t[0]) < 1e-32 and ndtr(t[-1]) == 1.0
 
 
 def test_quantized_map_detect_memory_stays_sparse():
