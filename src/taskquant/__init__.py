@@ -10,8 +10,7 @@ Monte Carlo experiment harness.
 from .bounds import SpectrumBound, gaussian_mmse, indirect_drf
 from .errors import ConfigError, NumericalError, TrainingDiverged
 from .linear_task import (LinearTaskModel, QuantizerDesign, design,
-                          equalizing_rotation, estimate, excess_mse,
-                          optimal_digital, waterfill)
+                          equalizing_rotation, estimate, excess_mse, waterfill)
 from .quant import (LearnedQuantizerSpec, UniformQuantizerSpec,
                     dithered_quantize, learned_quantize, noise_variance,
                     overload_safe_support, uniform_quantize)
@@ -36,7 +35,6 @@ __all__ = [
     "design",
     "estimate",
     "excess_mse",
-    "optimal_digital",
     "equalizing_rotation",
     "waterfill",
     "QuadraticTask",

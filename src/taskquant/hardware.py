@@ -1,10 +1,11 @@
 """Combiner feasibility models: phase-only and partially-connected networks,
 and the metasurface combiner of Lorentzian elements on microstrips.
 
-Each model projects a combiner onto its feasible set with `project`.
-Constrained designs are one-shot: design the unconstrained combiner, project
-it, re-size the quantizer support for the projected combiner's channel
-variances, and re-optimize the digital matrix.
+Each model projects a combiner onto its feasible set with `project`; the
+unconstrained design is `linear_task.design` itself. Constrained designs are
+one-shot: design the unconstrained combiner, project it, re-size the
+quantizer support for the projected combiner's channel variances, and
+re-optimize the digital matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .linear_task import (LinearTaskModel, QuantizerDesign, design,
                           fixed_combiner_design)
 
 __all__ = [
-    "Unconstrained",
     "PhaseOnly",
     "PartialConnect",
     "LorentzianCombiner",
@@ -171,11 +171,6 @@ def nearest_complex_blocks(matrix) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Unconstrained:
-    pass
-
-
-@dataclass(frozen=True)
 class PhaseOnly:
     def project(self, analog):
         return project_phase_only(analog)
@@ -224,8 +219,6 @@ def constrained_design(model: LinearTaskModel, constraint, channels: int,
     the unconstrained design's.
     """
     base = design(model, channels, levels, support_scale)
-    if isinstance(constraint, Unconstrained):
-        return base
     projected = fixed_combiner_design(constraint.project(base.analog), model,
                                       levels, support_scale)
     return replace(projected, singular_values=base.singular_values,

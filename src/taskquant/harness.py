@@ -25,7 +25,7 @@ from .deep import TrainSettings
 from .errors import ConfigError
 from .linear_task import (QuantizerDesign, _quantize, design, estimate,
                           fixed_combiner_design)
-from .hardware import PartialConnect, PhaseOnly, Unconstrained, constrained_design
+from .hardware import PartialConnect, PhaseOnly, constrained_design
 from .quant import UniformQuantizerSpec
 from .scenarios import _BLOCK
 
@@ -371,9 +371,9 @@ def pipeline(config: ExperimentConfig, scenario, bits: Optional[float] = None):
 
 
 def _parse_constraint(config: ExperimentConfig, n: int, channels: int):
-    kind = config.constraint or "unconstrained"
-    if kind == "unconstrained":
-        return Unconstrained()
+    kind = config.constraint
+    if kind is None:
+        raise ConfigError("[design] constraint: required for method = constrained")
     if kind == "phase_only":
         return PhaseOnly()
     if kind == "partial":
@@ -585,14 +585,15 @@ def simulate_ber(detector, scenario, trials: int, seed: int) -> ResultRow:
 
 
 def bound_row(scenario, bits: float) -> ResultRow:
-    """Rate-distortion lower bound at `bits` for a Gaussian linear scenario."""
+    """Rate-distortion lower bound at `bits` for a Gaussian linear scenario,
+    over the descending task-estimate spectrum, clipped at zero."""
     if scenario.kind != "linear":
         raise ConfigError("[scenario] name: bound curves need a Gaussian "
                           "linear scenario")
-    spectrum = scenario.estimate_spectrum()
-    bound = SpectrumBound(eigenvalues=spectrum,
-                          mmse_floor=scenario.model.mmse_floor,
-                          rate_bits=bits)
+    model = scenario.model
+    spectrum = np.linalg.eigvalsh(model.estimate_covariance())[::-1]
+    bound = SpectrumBound(eigenvalues=np.clip(spectrum, 0.0, None),
+                          mmse_floor=model.mmse_floor, rate_bits=bits)
     return ResultRow(axis=bits, method="bound", metric="mse",
                      estimate=indirect_drf(bound), std_error=0.0, trials=0)
 
@@ -612,21 +613,32 @@ def sweep(config: ExperimentConfig, verbose: bool = False, scenario=None):
     if not config.grid:
         raise ConfigError("[sweep] grid: at least one point required")
     rate = config.axis == "rate_bits"
+    if rate:
+        scenario = scenario or build_scenario(config)
+        points = [scenario] * len(config.grid)
+    else:   # each SNR point is its own scenario
+        points = [build_scenario(replace(config, snr_db=value))
+                  for value in config.grid]
+    # the rate axis runs estimation scenarios and the SNR axis classification
+    # ones: checked once, before any block is built or any network trains
+    if rate == (points[0].kind == "classification"):
+        raise ConfigError(f"[sweep] axis: {config.axis} sweeps need "
+                          f"{'an estimation' if rate else 'a classification'} "
+                          f"scenario, not {points[0].name}")
     deep_rows = config.method == "deep"
-    if rate:   # SNR points each build their own scenario
-        if scenario is None:
-            scenario = build_scenario(config)
-        if deep_rows:
-            for value in config.grid:   # an infeasible point trains no network
-                levels_for(value, quantizer_count("deep", scenario, config.channels))
-    blocks, realized, setup, clean = [], [], [], None
+    if rate and deep_rows:
+        for value in config.grid:   # an infeasible point trains no network
+            levels_for(value, quantizer_count("deep", scenario, config.channels))
+    # the SNR rows all read the first point's noiseless draw
+    clean = None if rate else _clean_draw(points[0])
+    blocks, realized, setup = [], [], []
     # every point builds its block first: an infeasible one fails before any trial
-    for idx, value in enumerate(config.grid):
+    for idx, (value, scenario) in enumerate(zip(config.grid, points)):
         start = time.perf_counter()
         bits = value
-        if not rate:   # the SNR rows all read the first point's noiseless draw
-            scenario, bits = _snr_point(config, value)
-            clean = clean or _clean_draw(scenario)
+        if not rate:
+            bits = (config.rate_bits if config.rate_bits is not None
+                    else float(scenario.n))
         if deep_rows:
             block, bits = _deep_block(config, scenario, bits, derive_seed(
                 config.seed, config.method, idx), clean), None
@@ -677,19 +689,10 @@ def simulate(config: ExperimentConfig) -> ResultRow:
                  scenario=scenario)[0]
 
 
-def _snr_point(config: ExperimentConfig, snr_db: float):
-    """(scenario at snr_db, total bits) of an SNR-axis row."""
-    point = build_scenario(replace(config, snr_db=snr_db))
-    if point.kind != "classification":
-        raise ConfigError("[sweep] axis: snr_db sweeps need a classification scenario")
-    bits = config.rate_bits if config.rate_bits is not None else float(point.n)
-    return point, bits
-
-
 def _ber_block(config: ExperimentConfig, point, bits: float, clean):
     """Block function (rng, count) -> per-trial bit error fractions of the
-    configured reference detector at the SNR point `point` (`_snr_point`),
-    on the sweep's noiseless draw `clean`. The detector's constants are
+    configured reference detector at the SNR point's scenario `point`, on
+    the sweep's noiseless draw `clean`. The detector's constants are
     built here, once per point, not once per block."""
     if config.method == "map":
         weights = scenarios.map_weights(point)

@@ -23,7 +23,6 @@ from .quant import (UniformQuantizerSpec, dithered_quantize, noise_variance,
 __all__ = [
     "LinearTaskModel",
     "QuantizerDesign",
-    "optimal_digital",
     "excess_mse",
     "fixed_combiner_design",
     "waterfill",
@@ -95,14 +94,14 @@ class LinearTaskModel:
         """trace(estimate_covariance()), computed once per model."""
         return float(np.trace(self.estimate_covariance()))
 
-    def sqrt_pair(self, floor_ratio: float = 1e-12):
+    def sqrt_pair(self):
         """Symmetric square root and inverse square root of obs_cov.
 
-        Eigenvalues below floor_ratio times the largest are floored so the
-        inverse root stays bounded.
+        Eigenvalues below 1e-12 times the largest are floored so the inverse
+        root stays bounded.
         """
         w, q = np.linalg.eigh(self.obs_cov)
-        w = np.maximum(w, floor_ratio * w.max())
+        w = np.maximum(w, 1e-12 * w.max())
         root = (q * np.sqrt(w)) @ q.T
         inv_root = (q / np.sqrt(w)) @ q.T
         return root, inv_root
@@ -192,17 +191,6 @@ def _wiener_solve(analog, model: LinearTaskModel, support: float, levels: int):
 
 def _excess(model: LinearTaskModel, cross, solved) -> float:
     return float(model.estimate_trace - np.einsum("ij,ij->", cross, solved))
-
-
-def optimal_digital(analog, model: LinearTaskModel, support: float,
-                    levels: int) -> np.ndarray:
-    """MSE-optimal digital matrix for a given combiner and quantizer.
-
-    This is the Wiener gain for estimating the task from the combined
-    observation plus white quantization noise of variance
-    `quant.noise_variance` per channel.
-    """
-    return _wiener_solve(analog, model, support, levels)[1].T
 
 
 def excess_mse(analog, model: LinearTaskModel, support: float,

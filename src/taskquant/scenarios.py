@@ -68,13 +68,6 @@ class ScenarioSpec:
     def k(self) -> int:
         return self.task.k if self.task is not None else self.mixing.shape[1]
 
-    def estimate_spectrum(self) -> np.ndarray:
-        """Descending eigenvalues of the task-estimate covariance."""
-        if self.model is None:
-            raise ValueError(f"scenario {self.name} has no analytic model")
-        eig = np.linalg.eigvalsh(self.model.estimate_covariance())[::-1]
-        return np.clip(eig, 0.0, None)
-
     def conditional_law(self, combiner):
         """(R, M, r) of y = A x for a real combiner A on a Gaussian task prior.
 

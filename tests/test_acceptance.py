@@ -9,9 +9,8 @@ import time
 import numpy as np
 
 from taskquant import deep, harness, scenarios
-from taskquant.hardware import (PartialConnect, PhaseOnly, Unconstrained,
-                                apply_partial_mask, constrained_design,
-                                project_phase_only)
+from taskquant.hardware import (PartialConnect, PhaseOnly, apply_partial_mask,
+                                constrained_design, project_phase_only)
 from taskquant.harness import ExperimentConfig
 from taskquant.linear_task import (LinearTaskModel, design, estimate,
                                    excess_mse)
@@ -328,7 +327,7 @@ def test_criterion_10_hardware_projections():
         model = LinearTaskModel(obs_cov=cov,
                                 task_matrix=rng.standard_normal((k, n)))
         levels = int(rng.choice([4, 8]))
-        base = constrained_design(model, Unconstrained(), k, levels)
+        base = design(model, k, levels)
         owners = rng.integers(0, k, size=n)
         owners[:k] = np.arange(k)
         for constraint in (PhaseOnly(), PartialConnect(owners)):

@@ -39,6 +39,12 @@ OWNERS_MOD_9 = " ".join(str(j % 9) for j in range(120))
 OWNERS_MOD_7 = " ".join(str(j % 7) for j in range(120))
 OWNERS_NO_3 = " ".join(str((0, 1, 2, 4, 5, 6, 7)[j % 7]) for j in range(120))
 
+# edits that make ISI_CFG a bpsk deep config on the default rate axis:
+# `train` trains its classifier, and `simulate` has no estimation scenario
+BPSK_DEEP_RATE = {"name = isi": "name = bpsk\nsnr_db = 10", "channels = 8\n": "",
+                  "method = task_based": "method = deep",
+                  "dither = true": "rate_bits = 12"}
+
 
 @pytest.fixture
 def isi_config(tmp_path):
@@ -287,6 +293,9 @@ def test_bound_rows_match_sweep_bound_rows(isi_config, tmp_path):
                "grid = 8 16": "grid = 6 10", "method = task_based":
                "method = quantized_map", "dither = true": "rate_bits = 6"},
      "fewer than 1 bit per quantizer"),
+    ("sweep", {"method = task_based": "method = constrained"},
+     "[design] constraint"),
+    ("simulate", BPSK_DEEP_RATE, "[sweep] axis"),
 ], ids=["grid-inf", "grid-overflow", "grid-nan", "channels-zero",
         "support-scale-negative", "support-scale-range-inf",
         "simulate-levels-zero", "trials-flag-zero", "csi-fraction-negative",
@@ -298,7 +307,8 @@ def test_bound_rows_match_sweep_bound_rows(isi_config, tmp_path):
         "unknown-key", "unknown-section", "sweep-and-simulate",
         "partition-fraction", "partition-negative", "partition-owner-8",
         "partition-idle-last-adc", "partition-idle-middle-adc",
-        "quantized-map-sub-bit-budget"])
+        "quantized-map-sub-bit-budget", "constrained-without-constraint",
+        "bpsk-deep-on-the-rate-axis"])
 def test_malformed_config_exits_one_with_one_line(tmp_path, capsys, command,
                                                   edits, named):
     text = ISI_CFG
@@ -311,6 +321,16 @@ def test_malformed_config_exits_one_with_one_line(tmp_path, capsys, command,
     errors = [line for line in err if line.startswith("error")]
     assert errors == err[-1:]
     assert named in errors[0]
+
+
+def test_train_on_the_rate_axis_trains_the_bpsk_classifier(tmp_path, capsys):
+    text = ISI_CFG
+    for old, new in BPSK_DEEP_RATE.items():
+        text = text.replace(old, new)
+    path = tmp_path / "bpsk.cfg"
+    path.write_text(text + "\n[train]\nepochs = 1\ntrain_size = 256\n")
+    assert cli.main(["train", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("channels=4 levels=8 ")
 
 
 @pytest.mark.parametrize("method", ["map", "quantized_map"])

@@ -4,13 +4,12 @@ import pytest
 from taskquant import scenarios
 from taskquant.hardware import (LorentzianCombiner, ParameterGrid,
                                 PartialConnect, PhaseOnly, PropagationModel,
-                                Unconstrained, apply_partial_mask,
-                                constrained_design, nearest_complex_blocks,
-                                project_lorentzian, project_phase_only,
-                                real_composite)
+                                apply_partial_mask, constrained_design,
+                                nearest_complex_blocks, project_lorentzian,
+                                project_phase_only, real_composite)
 from taskquant.errors import NumericalError
 from taskquant.linear_task import (LinearTaskModel, design, excess_mse,
-                                   fixed_combiner_design, optimal_digital)
+                                   fixed_combiner_design)
 from taskquant.quant import (UniformQuantizerSpec, noise_variance,
                              overload_safe_support)
 
@@ -247,15 +246,6 @@ def test_real_composite_roundtrip():
         nearest_complex_blocks(np.zeros((3, 4)))
 
 
-def test_constrained_design_unconstrained_matches_plain():
-    rng = np.random.default_rng(5)
-    model = random_model(rng, 8, 3)
-    base = design(model, 3, 8)
-    same = constrained_design(model, Unconstrained(), 3, 8)
-    np.testing.assert_allclose(same.analog, base.analog)
-    np.testing.assert_allclose(same.digital, base.digital)
-
-
 def test_constrained_design_costs_more():
     rng = np.random.default_rng(6)
     for trial in range(25):
@@ -314,8 +304,13 @@ def test_fixed_combiner_design_is_one_wiener_solve():
         var = np.einsum("ij,jk,ik->i", analog, model.obs_cov, analog)
         support = des.quantizer.support
         assert support == np.sqrt(margin * var.max())
-        np.testing.assert_array_equal(
-            des.digital, optimal_digital(analog, model, support, levels))
+        # B = solve(A Sx A^T + s2 I, A Sx Gamma^T)^T, s2 = 2 S^2 / (3 L^2)
+        a_cov = analog @ model.obs_cov
+        gram = (a_cov @ analog.T
+                + 2 * support ** 2 / (3 * levels ** 2) * np.eye(len(analog)))
+        np.testing.assert_allclose(
+            des.digital, np.linalg.solve(gram, a_cov @ model.task_matrix.T).T,
+            rtol=1e-10)
         assert des.predicted_excess_mse == max(
             excess_mse(analog, model, support, levels), 0.0)
     with pytest.raises(NumericalError):

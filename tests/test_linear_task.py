@@ -9,8 +9,7 @@ from taskquant.hardware import PhaseOnly, constrained_design
 from taskquant.harness import levels_for
 from taskquant.linear_task import (LinearTaskModel, _fix_svd_signs, design,
                                    equalizing_rotation, estimate, excess_mse,
-                                   optimal_digital, predicted_excess,
-                                   waterfill)
+                                   predicted_excess, waterfill)
 from taskquant.quant import (UniformQuantizerSpec, noise_variance,
                              overload_safe_support)
 
@@ -36,14 +35,16 @@ def test_model_validation():
 
 def test_optimal_digital_zero_combiner():
     model = random_model(np.random.default_rng(0), n=6, k=2)
-    b = optimal_digital(np.zeros((3, 6)), model, support=1.0, levels=4)
+    b = linear_task._wiener_solve(np.zeros((3, 6)), model, support=1.0,
+                                  levels=4)[1].T
     np.testing.assert_allclose(b, 0.0)
 
 
 def test_optimal_digital_noiseless_limit_recovers_task():
     model = random_model(np.random.default_rng(1), n=5, k=2)
     analog = np.linalg.qr(np.random.default_rng(2).standard_normal((5, 5)))[0]
-    b = optimal_digital(analog, model, support=1.0, levels=2 ** 20)
+    b = linear_task._wiener_solve(analog, model, support=1.0,
+                                  levels=2 ** 20)[1].T
     np.testing.assert_allclose(b @ analog, model.task_matrix, atol=1e-8)
 
 
@@ -51,7 +52,7 @@ def test_optimal_digital_scalar_wiener():
     model = LinearTaskModel(obs_cov=np.eye(1), task_matrix=np.eye(1))
     support, levels = 1.0, 4
     sigma2 = 2 * support ** 2 / (3 * levels ** 2)
-    b = optimal_digital(np.eye(1), model, support, levels)
+    b = linear_task._wiener_solve(np.eye(1), model, support, levels)[1].T
     assert b[0, 0] == pytest.approx(1 / (1 + sigma2))
 
 
@@ -521,7 +522,8 @@ def test_ill_conditioned_gram_reports_condition():
         LinearTaskModel(obs_cov=np.diag([1.0, 0.0]), task_matrix=np.eye(2))
     model = LinearTaskModel(obs_cov=np.diag([1.0, 1e-16]), task_matrix=np.eye(2))
     with pytest.raises(NumericalError) as err:
-        optimal_digital(np.eye(2), model, support=1e-12, levels=2 ** 30)
+        linear_task._wiener_solve(np.eye(2), model, support=1e-12,
+                                  levels=2 ** 30)
     assert err.value.condition_number is not None
 
 
