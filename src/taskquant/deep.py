@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, TrainingDiverged
-from .quant import LearnedQuantizerSpec, UniformQuantizerSpec, learned_quantize
+from .quant import (LearnedQuantizerSpec, UniformQuantizerSpec, _row_sections,
+                    learned_quantize)
 
 __all__ = [
     "DenseLayer",
@@ -400,6 +401,29 @@ def _build_dense(rng, dims):
             for i, (d_in, d_out) in enumerate(zip(dims, dims[1:]))]
 
 
+def _largest_std(analog, x) -> float:
+    """The largest per-channel std of the analog layers' output on the rows
+    of x, equal byte for byte to `z.std(axis=0).max()` of the whole output z
+    without holding it: the layers run on each `_row_sections` section twice,
+    to sum the outputs and then their squared deviations from the mean. Each
+    sum reduces [running sum; section], continuing numpy's row-by-row axis-0
+    order. One channel is summed pairwise by numpy, so it stays one section."""
+    x = np.atleast_2d(x)
+    sections = _row_sections(x.shape[0]) if analog[-1].weights.shape[0] > 1 else 1
+    moments = []                       # the column means, then the variances
+    for _ in range(2):
+        total = None
+        for rows in np.array_split(x, sections):
+            z = _dense_forward(analog, rows)
+            if moments:
+                z -= moments[0]
+                z *= z
+            total = z.sum(axis=0) if total is None else np.concatenate(
+                [total[None], z]).sum(axis=0)
+        moments.append(total / x.shape[0])
+    return np.sqrt(moments[1]).max()
+
+
 def build_network(rng: np.random.Generator, input_dim: int, channels: int,
                   outputs: int, levels: int, x_calib, settings: TrainSettings,
                   head: str = "estimation") -> Network:
@@ -407,8 +431,7 @@ def build_network(rng: np.random.Generator, input_dim: int, channels: int,
     widths from `settings` and its quantizer support `settings.support_scale`
     times the largest analog output std on the sample data `x_calib`."""
     analog = _build_dense(rng, [input_dim, *settings.hidden_analog, channels])
-    z = _dense_forward(analog, np.atleast_2d(x_calib))
-    support = float(settings.support_scale * z.std(axis=0).max())
+    support = float(settings.support_scale * _largest_std(analog, x_calib))
     quant = _uniform_soft_quantizer(channels, levels, support, settings.steepness)
     digital = _build_dense(rng, [channels, *settings.hidden_digital, outputs])
     return Network(analog=analog, quantizer=quant, digital=digital, head=head)

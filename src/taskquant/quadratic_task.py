@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .linear_task import LinearTaskModel, QuantizerDesign, estimate
+from .quant import _row_sections
 
 __all__ = [
     "QuadraticTask",
@@ -26,7 +27,6 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-10
-_FORM_ROWS = 1024     # rows per chunk of a quadratic-form evaluation
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,17 +81,15 @@ def _form_values(x, stacked) -> np.ndarray:
     """x^T C_i x for every form in stacked = [C_1 ... C_k], of shape (n, k n),
     on x (n,) or (..., n).
 
-    Rows go through in equal chunks of at most _FORM_ROWS, one matrix product
-    each into one reused buffer, so the (rows, k n) product stays small
-    whatever the batch. Equal chunks never leave a lone row, which numpy would
-    multiply as a vector, rounded differently from the same row in a matrix
-    product."""
+    Rows go through in `_row_sections` equal chunks, one matrix product each
+    into one reused buffer, so the (rows, k n) product stays small whatever
+    the batch."""
     x = np.asarray(x, dtype=float)
     n = stacked.shape[0]
     k = stacked.shape[1] // n
     rows = x.reshape(-1, x.shape[-1])
     out = np.empty((rows.shape[0], k))
-    sections = max(1, -(-rows.shape[0] // _FORM_ROWS))
+    sections = _row_sections(rows.shape[0])
     chunks = np.array_split(rows, sections)     # the largest chunk first
     products = np.empty((chunks[0].shape[0], stacked.shape[1]))
     for chunk, part in zip(chunks, np.array_split(out, sections)):

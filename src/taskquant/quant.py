@@ -90,6 +90,19 @@ class LearnedQuantizerSpec:
         return bool(np.all(np.diff(self.levels) >= 0))
 
 
+# Rows of one section of a row-wise pass too large to hold at once: a large
+# draw's tasks and noise, a quadratic-form evaluation, a support calibration.
+_SECTION_ROWS = 1024
+
+
+def _row_sections(rows: int) -> int:
+    """How many equal sections of at most _SECTION_ROWS rows cover `rows`
+    rows; at least one. Equal sections never leave a lone row, which numpy
+    would multiply as a vector, rounded apart from the same row of a matrix
+    product."""
+    return max(1, -(-rows // _SECTION_ROWS))
+
+
 def _check_finite(z):
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):

@@ -19,10 +19,10 @@ import numpy as np
 from .bounds import gaussian_mmse
 from .linear_task import LinearTaskModel
 from .quadratic_task import LiftedTaskModel, QuadraticTask, to_linear_model
-from .quant import UniformQuantizerSpec, _check_finite, _to_cells
+from .quant import UniformQuantizerSpec, _check_finite, _row_sections, _to_cells
 
 # Rows of one trial block: the harness's Monte Carlo block, and the largest
-# row section in which a sampler draws its noise.
+# draw a sampler makes in one section.
 _BLOCK = 8192
 
 __all__ = [
@@ -94,22 +94,30 @@ class ScenarioSpec:
                 float(np.trace(cov_s) - np.sum(gain * gain)))
 
 
+def _draw_sections(*arrays):
+    """Matching row sections of `arrays`, in which a sampler draws: the
+    arrays whole for a draw of at most one block, as every trial block's is,
+    and `_row_sections` equal sections above, so a large training set holds
+    one small section of normals at a time. Draws split across calls equal
+    one call, and BLAS rounds a row alike in any section of two or more rows,
+    so a sectioned draw is the one-call draw byte for byte."""
+    count = arrays[0].shape[0]
+    if count <= _BLOCK:
+        return [arrays]
+    sections = _row_sections(count)
+    return zip(*(np.array_split(a, sections) for a in arrays))
+
+
 def _observe(mixing, s, noise_std, rng) -> np.ndarray:
     """x = s H^T + std * w, with w standard normal from rng and std the
-    noise_std(rows) of each section of task rows: a number, or one per entry.
-
-    The noise goes in equal row sections of at most _BLOCK rows, so a large
-    training set holds one section of normals at a time, not the whole draw.
-    Draws split across calls equal one call, and equal sections leave no
-    lone row, which BLAS would round apart from the same row of a matrix, so
-    x is the one-draw x byte for byte. A call of at most one block, as every
-    trial block's is, draws in one section."""
+    noise_std(rows) of each `_draw_sections` section of task rows: a number,
+    or one per entry. The normals are scaled in place where the draw is
+    writeable (a trial block's replayed draws are not)."""
     x = s @ mixing.T
-    sections = -(-s.shape[0] // _BLOCK)
-    pairs = (zip(np.array_split(s, sections), np.array_split(x, sections))
-             if sections > 1 else [(s, x)])
-    for rows, part in pairs:
-        part += noise_std(rows) * rng.standard_normal(part.shape)
+    for rows, part in _draw_sections(s, x):
+        noise = rng.standard_normal(part.shape)
+        part += np.multiply(noise, noise_std(rows),
+                            out=noise if noise.flags.writeable else None)
     return x
 
 
@@ -142,7 +150,10 @@ def _linear_gaussian(name: str, mixing, cov_s, noise_var: float) -> ScenarioSpec
     chol = np.linalg.cholesky(cov_s)
 
     def draw_tasks(rng, count):
-        return rng.standard_normal((count, chol.shape[0])) @ chol.T
+        s = np.empty((count, chol.shape[0]))
+        for (part,) in _draw_sections(s):
+            np.matmul(rng.standard_normal(part.shape), chol.T, out=part)
+        return s
 
     return ScenarioSpec(name=name, kind="linear", model=model,
                         sampler=_mixing_sampler(draw_tasks, mixing, noise_var),
@@ -280,7 +291,9 @@ class QuantizedMapTable:
     built once for many batches: the ADC spec, each antenna's (L x classes)
     log cell probabilities, and the prefix table: for each cell code c_0
     L^(d-1) + ... + c_(d-1) of the first d = `depth` antennas (most with
-    L^d <= 4096), the sum of their rows, added in antenna order."""
+    L^d <= 4096), the sum of their rows, added in antenna order. When the
+    prefix covers every antenna (2 levels on bpsk), `labels` holds each
+    code's most likely class; otherwise it is None."""
 
     def __init__(self, scenario: ScenarioSpec, levels: int, support: float):
         self.spec = UniformQuantizerSpec(levels, support)
@@ -296,15 +309,22 @@ class QuantizedMapTable:
         for rows in self.log_probs[:self.depth]:
             self.prefix = (self.prefix[:, None] + rows).reshape(-1, rows.shape[1])
         self.powers = float(levels) ** np.arange(self.depth - 1, -1, -1)
+        self.labels = (np.argmax(self.prefix, axis=1)
+                       if self.depth == scenario.n else None)
+
+    def _cells(self, x):
+        """Each trial's prefix code, and the (antennas past the prefix x
+        count) cells of the rest."""
+        cells = _to_cells(np.array(x, dtype=float), self.spec)
+        codes = (cells[:, :self.depth] @ self.powers).astype(np.intp)
+        return codes, cells[:, self.depth:].T.astype(np.intp, order="C")
 
     def scores(self, x) -> np.ndarray:
         """(count x classes) log-likelihoods of the hypotheses: each trial's
         prefix row, then one gather-add per later antenna, so a score is
         0 + v_0 + v_1 + ... summed antenna by antenna."""
-        cells = _to_cells(np.array(x, dtype=float), self.spec)
-        codes = (cells[:, :self.depth] @ self.powers).astype(np.intp)
+        codes, later = self._cells(x)
         scores = np.take(self.prefix, codes, axis=0)
-        later = cells[:, self.depth:].T.astype(np.intp, order="C")
         for rows, cell in zip(self.log_probs[self.depth:], later):
             scores += np.take(rows, cell, axis=0)
         return scores
@@ -319,13 +339,16 @@ def quantized_map_detect(observations, scenario: ScenarioSpec, levels: int,
     of log P(cell | m_u), from exact Gaussian cell probabilities (outer cells
     absorb the saturated tails): one gather from the prefix table of the first
     antennas, then one gather-add per remaining antenna
-    (`QuantizedMapTable.scores`). `table` is `QuantizedMapTable(scenario,
-    levels, support)`, built here when not given. Non-finite observations
-    raise ValueError."""
+    (`QuantizedMapTable.scores`). When the prefix covers every antenna, the
+    label is one gather from the table's `labels`. `table` is
+    `QuantizedMapTable(scenario, levels, support)`, built here when not
+    given. Non-finite observations raise ValueError."""
     if table is None:
         table = QuantizedMapTable(scenario, levels, support)
-    return np.argmax(table.scores(np.atleast_2d(_check_finite(observations))),
-                     axis=1)
+    x = np.atleast_2d(_check_finite(observations))
+    if table.labels is not None:
+        return table.labels[table._cells(x)[0]]
+    return np.argmax(table.scores(x), axis=1)
 
 
 def csi_perturb(scenario: ScenarioSpec, fraction: float, seed: int) -> ScenarioSpec:

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from taskquant import deep
+from taskquant import deep, scenarios
 from taskquant.errors import ConfigError, TrainingDiverged
 from taskquant.linear_task import LinearTaskModel, design
 
@@ -527,3 +527,39 @@ def test_backward_memory_stays_near_one_tanh_tensor():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * batch * channels * (levels - 1) * 8
+
+
+@pytest.mark.parametrize("hidden", [(), (24,)])
+@pytest.mark.parametrize("count", [2, 1023, 1024, 1025, 8193, 20001, 2 ** 15])
+def test_support_calibration_equals_the_whole_array_std_bytes(count, hidden):
+    # sectioned sums against numpy's std of the whole analog output, across
+    # section edges; one channel is summed pairwise, so it is one section
+    _, x = scenarios.dft_pilot_scenario().train_sampler(
+        np.random.default_rng(46), count)
+    settings = deep.TrainSettings(hidden_analog=hidden)
+    for channels in (1, 40):
+        net = deep.build_network(np.random.default_rng(47), x.shape[1],
+                                 channels, 40, 8, x, settings)
+        z = deep._dense_forward(net.analog, x)
+        std = z.std(axis=0).max()
+        assert deep._largest_std(net.analog, x).tobytes() == std.tobytes()
+        want = deep._uniform_soft_quantizer(
+            channels, 8, float(settings.support_scale * std), settings.steepness)
+        for name in ("outer", "shifts", "steepness"):
+            assert (getattr(net.quantizer, name).tobytes()
+                    == getattr(want, name).tobytes())
+
+
+def test_support_calibration_peak_memory_stays_near_one_section():
+    # the whole (2^15, 40) analog output and its deviations took 20 MB
+    _, x = scenarios.dft_pilot_scenario().train_sampler(
+        np.random.default_rng(48), 2 ** 15)
+    settings = deep.TrainSettings()
+    deep.build_network(np.random.default_rng(49), 120, 40, 40, 64, x[:2], settings)
+    tracemalloc.start()
+    try:
+        deep.build_network(np.random.default_rng(49), 120, 40, 40, 64, x, settings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20

@@ -198,6 +198,21 @@ def test_quantized_map_scores_equal_the_sequential_antenna_sum(levels, depth):
     assert table.scores(x).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("snr_db", [6.0, 10.0])
+def test_two_level_quantized_map_labels_are_the_score_argmax(snr_db):
+    # with every antenna in the prefix, one gather from the per-code labels
+    # replaces the score block and its argmax
+    sc = scenarios.bpsk_scenario(10.0 ** (snr_db / 10.0))
+    _, x = sc.sampler(np.random.default_rng(17), 8192)
+    table = scenarios.QuantizedMapTable(sc, 2, _support(sc, 2))
+    want = np.argmax(table.scores(x), axis=1)
+    codes = (_to_cells(x.copy(), table.spec) @ table.powers).astype(np.intp)
+    assert table.labels[codes].tobytes() == want.tobytes()
+    got = scenarios.quantized_map_detect(x, sc, 2, _support(sc, 2), table)
+    assert got.tobytes() == want.tobytes()
+    assert scenarios.QuantizedMapTable(sc, 3, _support(sc, 3)).labels is None
+
+
 def test_quantized_map_table_probabilities_match_ndtr():
     # at 2 levels the lower cell is (-inf, 0), so its probability is Phi(t)
     # for t = -mean / std; one antenna with one class per grid value spans
@@ -358,8 +373,9 @@ def test_csi_train_sampler_draw_order_is_pinned(make):
     assert x.tobytes() == x_ref.tobytes()
 
 
-@pytest.mark.parametrize("count", [1, 8192, 8193, 20001, 2 ** 15])
+@pytest.mark.parametrize("count", [1, 1025, 2049, 8192, 8193, 20001, 2 ** 15])
 @pytest.mark.parametrize("make, fraction", [
+    pytest.param(scenarios.isi_scenario, None, id="isi"),
     pytest.param(scenarios.dft_pilot_scenario, None, id="dft_pilot"),
     pytest.param(scenarios.dft_pilot_scenario, 0.2, id="csi_dft_pilot"),
     pytest.param(lambda: scenarios.bpsk_scenario(10.0), 0.2, id="csi_bpsk")])
@@ -384,10 +400,11 @@ def test_train_samplers_equal_one_draw_bytes(make, fraction, count):
     assert x.tobytes() == x_ref.tobytes()
 
 
-@pytest.mark.parametrize("fraction, bound_mb", [(None, 64), (0.2, 70)])
+@pytest.mark.parametrize("fraction, bound_mb", [(None, 45), (0.2, 46)])
 def test_train_draw_peak_memory_stays_below_three_full_arrays(fraction, bound_mb):
-    # tasks (10.5 MB) and observations (31.5 MB) plus one noise section; the
-    # whole-array draw held three (count, n) arrays at once, about 100 MB
+    # tasks (10 MiB) and observations (30 MiB) plus one 1024-row section of
+    # normals (and of stds with csi); the whole-array draw held three
+    # (count, n) arrays at once, about 100 MB
     sc = scenarios.dft_pilot_scenario()
     if fraction is not None:
         sc = scenarios.csi_perturb(sc, fraction, 13)
