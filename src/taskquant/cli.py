@@ -25,28 +25,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="taskquant",
-                     description="Task-based quantization designs, bounds, "
-                                 "and Monte Carlo experiments")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-            ("design", "compute and serialize a pipeline design"),
-            ("simulate", "simulate one operating point"),
-            ("sweep", "run a grid of operating points to CSV"),
-            ("bound", "rate-distortion lower-bound curve to CSV"),
-            ("train", "train a deep quantizer and save the model"),
-            ("harden", "dump the discrete quantizer of a trained model")):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", help="experiment config file")
-        p.add_argument("--output", help="output path")
-        p.add_argument("--seed", type=int, help="root random seed")
-        p.add_argument("--trials", type=int, help="Monte Carlo trials")
-        if name == "harden":
-            p.add_argument("--model", help="trained model file")
-    return parser
-
-
 def _load(args) -> harness.ExperimentConfig:
     if not args.config:
         raise ConfigError("--config is required for this subcommand")
@@ -108,14 +86,11 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = _load(args)
+    cfg = dataclasses.replace(_load(args), method="deep")
     scenario = harness.build_scenario(cfg)
-    bits = cfg.rate_bits
-    if bits is None:
-        raise ConfigError("[sweep] rate_bits: total bit budget required for training")
+    bits = harness.point_bits(cfg, scenario)
     if scenario.kind == "classification":
-        result = harness.train_deep_classifier(scenario, bits,
-                                               settings=cfg.train, seed=cfg.seed,
+        result = harness.train_deep_classifier(scenario, bits, cfg.train, cfg.seed,
                                                channels=cfg.channels)
     else:
         result = harness.train_deep_estimator(scenario, bits, channels=cfg.channels,
@@ -150,21 +125,34 @@ def _cmd_harden(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "design": _cmd_design,
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
-    "bound": _cmd_bound,
-    "train": _cmd_train,
-    "harden": _cmd_harden,
-}
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="taskquant",
+                     description="Task-based quantization designs, bounds, "
+                                 "and Monte Carlo experiments")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, helptext, handler in (
+            ("design", "compute and serialize a pipeline design", _cmd_design),
+            ("simulate", "simulate one operating point", _cmd_simulate),
+            ("sweep", "run a grid of operating points to CSV", _cmd_sweep),
+            ("bound", "rate-distortion lower-bound curve to CSV", _cmd_bound),
+            ("train", "train a deep quantizer and save the model", _cmd_train),
+            ("harden", "dump the discrete quantizer of a trained model", _cmd_harden)):
+        p = sub.add_parser(name, help=helptext)
+        p.set_defaults(handler=handler)
+        p.add_argument("--config", help="experiment config file")
+        p.add_argument("--output", help="output path")
+        p.add_argument("--seed", type=int, help="root random seed")
+        p.add_argument("--trials", type=int, help="Monte Carlo trials")
+        if name == "harden":
+            p.add_argument("--model", help="trained model file")
+    return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -104,6 +104,8 @@ class SoftQuantizer:
         self.steepness = np.atleast_2d(np.asarray(self.steepness, dtype=float))
         if not (self.outer.shape == self.shifts.shape == self.steepness.shape):
             raise ValueError("outer, shifts, steepness must share one shape")
+        if 0 in self.outer.shape:
+            raise ValueError("a soft quantizer needs at least one channel and term")
         if np.any(self.steepness <= 0):
             raise ValueError("steepness constants must be positive")
 
@@ -431,7 +433,8 @@ def build_network(rng: np.random.Generator, input_dim: int, channels: int,
     widths from `settings` and its quantizer support `settings.support_scale`
     times the largest analog output std on the sample data `x_calib`."""
     analog = _build_dense(rng, [input_dim, *settings.hidden_analog, channels])
-    support = float(settings.support_scale * _largest_std(analog, x_calib))
+    # Python floats: an overflowing product is inf, with no numpy warning
+    support = settings.support_scale * float(_largest_std(analog, x_calib))
     quant = _uniform_soft_quantizer(channels, levels, support, settings.steepness)
     digital = _build_dense(rng, [channels, *settings.hidden_digital, outputs])
     return Network(analog=analog, quantizer=quant, digital=digital, head=head)

@@ -217,7 +217,7 @@ def _support_scale_at(config: ExperimentConfig, bits: float) -> float:
     return lo + (hi - lo) * (bits - g0) / (g1 - g0)
 
 
-def levels_for(bits: float, channels: int, floor_at_two: bool = False) -> int:
+def levels_for(bits: float, channels: int) -> int:
     """Most levels per quantizer that `bits` over `channels` quantizers buys.
 
     A budget computed as channels * log2(L) maps back to exactly L: the
@@ -230,11 +230,9 @@ def levels_for(bits: float, channels: int, floor_at_two: bool = False) -> int:
         raise ConfigError(f"budget of {bits:g} bits over {channels} quantizers "
                           f"needs more levels than a float can hold") from None
     if levels < 2:
-        if not floor_at_two:
-            raise ConfigError(
-                f"budget of {bits:g} bits over {channels} quantizers leaves "
-                f"fewer than 1 bit per quantizer")
-        levels = 2
+        raise ConfigError(
+            f"budget of {bits:g} bits over {channels} quantizers leaves "
+            f"fewer than 1 bit per quantizer")
     return levels
 
 
@@ -281,17 +279,25 @@ def _design_errors(scenario, des: QuantizerDesign):
     return block
 
 
-def quantizer_count(method: str, scenario, channels: Optional[int]) -> int:
-    """Quantizers `method` spreads its bit budget over on `scenario`.
+def quantizer_count(method: str, scenario, channels: Optional[int],
+                    bits: Optional[float] = None) -> int:
+    """ADCs `method` spreads its bit budget over on `scenario`.
 
-    mmse_then_quantize quantizes each task estimate and digital_only each
-    antenna; the deep estimator and the designed pipelines default to one
-    quantizer per task entry, and a configured channel count overrides that.
-    """
-    if method == "digital_only":
+    mmse_then_quantize quantizes each task estimate, digital_only and
+    quantized_map each antenna. The deep classifier defaults to
+    floor(k * bits / n) ADCs, the deep estimator and the designed pipelines
+    to one per task entry; a configured channel count overrides either."""
+    if method in ("digital_only", "quantized_map"):
         return scenario.n
     if method == "mmse_then_quantize":
         return scenario.k
+    if method == "deep" and scenario.kind == "classification" and not channels:
+        if bits is None:
+            raise ConfigError("[design] channels: the deep classifier needs it to "
+                              "spend `levels`, or a [sweep] rate_bits budget")
+        channels = int(math.floor(scenario.k * bits / scenario.n))
+        if channels < 1:
+            raise ConfigError(f"rate {bits / scenario.n:g} leaves no quantizers")
     if method != "deep" and scenario.model is None:
         raise ConfigError(f"[scenario] name: {scenario.name} has no design "
                           f"model for {method!r}")
@@ -303,17 +309,18 @@ _MSE_METHODS = ("task_based", "constrained", "mmse_then_quantize",
 
 
 def point_bits(config: ExperimentConfig, scenario) -> float:
-    """Total bits of the configured method's one point (`design`, `simulate`).
-
-    `rate_bits` when set, otherwise the configured `levels` on each of the
-    method's quantizers; `levels_for` maps that budget back to `levels`.
-    """
+    """Total bits of the configured method's one budget: `rate_bits` when
+    set, else the configured `levels` on each of the method's quantizers
+    (`levels_for` maps that budget back to `levels`), else 1 bit per antenna
+    on a classification scenario."""
     if config.rate_bits is not None:
         return float(config.rate_bits)
-    if config.levels is None:
-        raise ConfigError("[design] levels or [sweep] rate_bits: one is required")
-    channels = quantizer_count(config.method, scenario, config.channels)
-    return channels * float(np.log2(config.levels))
+    if config.levels is not None:
+        channels = quantizer_count(config.method, scenario, config.channels)
+        return channels * float(np.log2(config.levels))
+    if scenario.kind == "classification":
+        return float(scenario.n)
+    raise ConfigError("[design] levels or [sweep] rate_bits: one is required")
 
 
 def pipeline(config: ExperimentConfig, scenario, bits: Optional[float] = None):
@@ -334,8 +341,8 @@ def pipeline(config: ExperimentConfig, scenario, bits: Optional[float] = None):
         bits = point_bits(config, scenario)
     model = scenario.model
     channels = quantizer_count(method, scenario, config.channels)
-    levels = levels_for(bits, channels,
-                        floor_at_two=quadratic and method == "digital_only")
+    levels = levels_for(max(bits, channels) if quadratic and method == "digital_only"
+                        else bits, channels)
     scale = feasible_support_scale(_support_scale_at(config, bits), levels)
     realized = channels * math.log2(levels)
 
@@ -625,25 +632,25 @@ def sweep(config: ExperimentConfig, verbose: bool = False, scenario=None):
         raise ConfigError(f"[sweep] axis: {config.axis} sweeps need "
                           f"{'an estimation' if rate else 'a classification'} "
                           f"scenario, not {points[0].name}")
+    # every SNR point spends one budget; map detection spends none
+    spends = not rate and config.method in ("deep", "quantized_map")
+    bits = point_bits(config, points[0]) if spends else None
+    budgets = config.grid if rate else [bits] * len(points)
     deep_rows = config.method == "deep"
-    if rate and deep_rows:
-        for value in config.grid:   # an infeasible point trains no network
-            levels_for(value, quantizer_count("deep", scenario, config.channels))
+    if deep_rows:   # an infeasible point trains no network
+        for bits, scenario in zip(budgets, points):
+            levels_for(bits, quantizer_count("deep", scenario, config.channels, bits))
     # the SNR rows all read the first point's noiseless draw
     clean = None if rate else _clean_draw(points[0])
     blocks, realized, setup = [], [], []
     # every point builds its block first: an infeasible one fails before any trial
-    for idx, (value, scenario) in enumerate(zip(config.grid, points)):
+    for idx, (bits, scenario) in enumerate(zip(budgets, points)):
         start = time.perf_counter()
-        bits = value
-        if not rate:
-            bits = (config.rate_bits if config.rate_bits is not None
-                    else float(scenario.n))
         if deep_rows:
             block, bits = _deep_block(config, scenario, bits, derive_seed(
                 config.seed, config.method, idx), clean), None
         elif rate:
-            _, bits, block = pipeline(config, scenario, value)
+            _, bits, block = pipeline(config, scenario, bits)
         else:
             block, bits = _ber_block(config, scenario, bits, clean), None
         blocks.append(block)
@@ -699,7 +706,7 @@ def _ber_block(config: ExperimentConfig, point, bits: float, clean):
         return _bit_error_fractions(
             lambda x: scenarios.map_detect(x, point, weights), point, clean)
     if config.method == "quantized_map":
-        levels = levels_for(bits, point.n)
+        levels = levels_for(bits, quantizer_count(config.method, point, None))
         std = np.sqrt(np.diag(point.mixing @ point.mixing.T) + point.noise_var)
         support = feasible_support_scale(config.support_scale, levels) * std.max()
         table = scenarios.QuantizedMapTable(point, levels, support)
@@ -710,30 +717,29 @@ def _ber_block(config: ExperimentConfig, point, bits: float, clean):
 
 def _deep_block(config: ExperimentConfig, scenario, bits: float, seed: int, clean):
     """Block function of the network trained from `seed` on one grid point's
-    scenario at `bits`: per-trial squared errors of an estimator on a rate
-    axis, per-trial bit error fractions of a classifier on the sweep's
-    noiseless draw `clean` otherwise."""
-    if config.axis == "rate_bits":
-        hardened = _train_and_harden(
-            scenario, bits, quantizer_count("deep", scenario, config.channels),
-            "estimation", config.train, seed)["hardened"]
-        return _squared_errors(
-            scenario, lambda _, obs, rng: deep.forward(hardened, obs))
-    hardened = train_deep_classifier(scenario, bits, settings=config.train,
-                                     seed=seed, channels=config.channels)["hardened"]
-    return _bit_error_fractions(lambda x: deep.classify(hardened, x), scenario, clean)
+    scenario at `bits`: per-trial bit error fractions of a classifier on the
+    sweep's noiseless draw `clean`, per-trial squared errors of an estimator
+    otherwise."""
+    hardened = _train_and_harden(scenario, bits, config.channels, config.train,
+                                 seed)["hardened"]
+    if scenario.kind == "classification":
+        return _bit_error_fractions(lambda x: deep.classify(hardened, x),
+                                    scenario, clean)
+    return _squared_errors(scenario, lambda _, obs, rng: deep.forward(hardened, obs))
 
 
-def _train_and_harden(scenario, total_bits: float, p: int, head: str,
+def _train_and_harden(scenario, total_bits: float, channels: Optional[int],
                       settings: TrainSettings, seed: int) -> dict:
-    """Draw training data, build a `head` network, train it and harden it."""
+    """Draw training data, build the scenario's network (class logits or task
+    estimates) over the deep `quantizer_count`, train it and harden it."""
+    p = quantizer_count("deep", scenario, channels, total_bits)
     levels = levels_for(total_bits, p)
     targets, obs = scenario.train_sampler(stream(seed, "train-data"),
                                           settings.train_size)
-    outputs = scenario.k
-    if head == "classification":
+    head, outputs = "estimation", scenario.k
+    if scenario.kind == "classification":
+        head, outputs = "classification", scenario.symbols.shape[0]
         targets = scenarios.symbols_to_labels(targets)
-        outputs = scenario.symbols.shape[0]
     net = deep.build_network(stream(seed, "init"), scenario.n, p, outputs,
                              levels, obs, settings, head=head)
     history = deep.train(net, obs, targets, settings, derive_seed(seed, "sgd"))
@@ -744,9 +750,7 @@ def _train_and_harden(scenario, total_bits: float, p: int, head: str,
 def train_deep_estimator(scenario, total_bits: float, channels: Optional[int],
                          settings: TrainSettings, seed: int) -> dict:
     """Train, harden, and score a deep estimation quantizer at a bit budget."""
-    result = _train_and_harden(scenario, total_bits,
-                               quantizer_count("deep", scenario, channels),
-                               "estimation", settings, seed)
+    result = _train_and_harden(scenario, total_bits, channels, settings, seed)
     hardened = result["hardened"]
     result["test_mse"], result["test_se"] = _monte_carlo(
         _squared_errors(scenario, lambda _, obs, rng: deep.forward(hardened, obs)),
@@ -759,11 +763,7 @@ def train_deep_classifier(scenario, total_bits: float,
                           channels: Optional[int] = None) -> dict:
     """Train and harden a deep symbol classifier at a bit budget, over
     `channels` quantizers or, unset, floor(k * bits / n) of them."""
-    channels = channels or int(math.floor(scenario.k * total_bits / scenario.n))
-    if channels < 1:
-        raise ConfigError(f"rate {total_bits / scenario.n:g} leaves no quantizers")
-    return _train_and_harden(scenario, total_bits, channels, "classification",
-                             settings, seed)
+    return _train_and_harden(scenario, total_bits, channels, settings, seed)
 
 
 # section -> key -> cast; each key names the ExperimentConfig field it sets

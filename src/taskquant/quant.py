@@ -8,6 +8,7 @@ by hardening a trained soft quantizer.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -172,7 +173,9 @@ def overload_safe_support(std_multiple: float, levels: int, channels: int):
         margin  = std_multiple^2 / (1 - std_multiple^2 / (3 levels^2))
         support = sqrt(margin / channels)
 
-    Returns (support, margin). Requires std_multiple^2 < 3 levels^2.
+    Returns (support, margin). Requires std_multiple^2 < 3 levels^2, and a
+    margin whose dither noise per unit power, 2 margin / (3 levels^2
+    channels), is a normal float: the water-fill divides by it.
     """
     if channels < 1:
         raise ValueError(f"channels must be >= 1, got {channels}")
@@ -182,6 +185,9 @@ def overload_safe_support(std_multiple: float, levels: int, channels: int):
         raise ValueError(
             f"std_multiple^2 = {m2:g} must be below 3 * levels^2 = {cap:g}")
     margin = m2 / (1.0 - m2 / cap)
+    if 2.0 * margin / (cap * channels) < sys.float_info.min:
+        raise ValueError(f"std_multiple = {std_multiple:g} is too small: its "
+                         f"margin underflows")
     support = math.sqrt(margin / channels)
     return support, margin
 

@@ -45,6 +45,13 @@ BPSK_DEEP_RATE = {"name = isi": "name = bpsk\nsnr_db = 10", "channels = 8\n": ""
                   "method = task_based": "method = deep",
                   "dither = true": "rate_bits = 12"}
 
+# edits that make ISI_CFG a one-point bpsk deep SNR sweep with `levels` but
+# neither `channels` nor `rate_bits`
+BPSK_DEEP_LEVELS = {"name = isi": "name = bpsk\nsnr_db = 10", "channels = 8\n": "",
+                    "axis = rate_bits": "axis = snr_db", "grid = 8 16": "grid = 10",
+                    "method = task_based": "method = deep",
+                    "dither = true": "[train]\nepochs = 1\ntrain_size = 256"}
+
 
 @pytest.fixture
 def isi_config(tmp_path):
@@ -296,6 +303,19 @@ def test_bound_rows_match_sweep_bound_rows(isi_config, tmp_path):
     ("sweep", {"method = task_based": "method = constrained"},
      "[design] constraint"),
     ("simulate", BPSK_DEEP_RATE, "[sweep] axis"),
+    # a std multiple whose margin underflows: the water-fill would divide by 0
+    ("sweep", {"support_scale = 4.0": "support_scale = 1e-300"}, "too small"),
+    ("sweep", {"support_scale = 4.0": "support_scale = 1e-160"}, "too small"),
+    ("sweep", {"support_scale = 4.0": "support_scale = 1e-300",
+               "levels = 16": "constraint = phase_only",
+               "method = task_based": "method = constrained"}, "too small"),
+    ("sweep", {"support_scale = 4.0": "support_scale = 1e-160",
+               "levels = 16": "constraint = phase_only",
+               "method = task_based": "method = constrained"}, "too small"),
+    # the deep classifier's default ADC count follows its budget, so `levels`
+    # alone sets no budget
+    ("sweep", BPSK_DEEP_LEVELS, "[design] channels"),
+    ("train", BPSK_DEEP_LEVELS, "[design] channels"),
 ], ids=["grid-inf", "grid-overflow", "grid-nan", "channels-zero",
         "support-scale-negative", "support-scale-range-inf",
         "simulate-levels-zero", "trials-flag-zero", "csi-fraction-negative",
@@ -308,7 +328,10 @@ def test_bound_rows_match_sweep_bound_rows(isi_config, tmp_path):
         "partition-fraction", "partition-negative", "partition-owner-8",
         "partition-idle-last-adc", "partition-idle-middle-adc",
         "quantized-map-sub-bit-budget", "constrained-without-constraint",
-        "bpsk-deep-on-the-rate-axis"])
+        "bpsk-deep-on-the-rate-axis", "support-scale-1e-300",
+        "support-scale-1e-160", "constrained-support-scale-1e-300",
+        "constrained-support-scale-1e-160", "bpsk-deep-levels-without-channels",
+        "train-bpsk-deep-levels-without-channels"])
 def test_malformed_config_exits_one_with_one_line(tmp_path, capsys, command,
                                                   edits, named):
     text = ISI_CFG
@@ -461,6 +484,66 @@ def test_design_without_a_combiner_exits_one(tmp_path, capsys, scenario,
     assert method in err[0]
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_quantized_map_runs_the_configured_levels(tmp_path, capsys, command):
+    # 4 levels on each of bpsk's 12 antennas is the 24-bit row, not the
+    # default 12-bit (2-level) one, on a one-point sweep as on `simulate`
+    text = """
+[scenario]
+name = bpsk
+snr_db = 4
+
+[design]
+levels = 4
+
+[sweep]
+axis = snr_db
+grid = 4
+method = quantized_map
+trials = 3000
+seed = 5
+"""
+    path = tmp_path / "levels.cfg"
+    printed = []
+    default = text.replace("levels = 4", "")
+    for config in (text, default.replace("seed = 5", "seed = 5\nrate_bits = 24"),
+                   default):
+        path.write_text(config)
+        assert cli.main([command, "--config", str(path)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] != printed[2]
+
+
+@pytest.mark.parametrize("scenario, channels, levels", [("bpsk", 2, 8),
+                                                        ("isi", 8, 16)])
+def test_train_runs_the_configured_levels(tmp_path, capsys, scenario, channels,
+                                          levels):
+    text = ISI_CFG.replace("name = isi", f"name = {scenario}\nsnr_db = 10").replace(
+        "channels = 8", f"channels = {channels}").replace(
+        "levels = 16", f"levels = {levels}")
+    path = tmp_path / "train.cfg"
+    path.write_text(text + "\n[train]\nepochs = 1\ntrain_size = 256\n"
+                    "test_size = 128\n")
+    assert cli.main(["train", "--config", str(path)]) == 0
+    assert f"channels={channels} levels={levels} " in capsys.readouterr().out
+
+
+def test_train_overflowing_support_prints_one_line(tmp_path):
+    # pytest records numpy's RuntimeWarning, so only a fresh interpreter
+    # shows whether one reaches stderr
+    path = tmp_path / "deep.cfg"
+    path.write_text(ISI_CFG.replace("method = task_based", "method = deep").replace(
+        "dither = true", "[train]\nepochs = 1\ntrain_size = 256\n"
+        "support_scale = 1e308"))
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "taskquant", "sweep", "--config", str(path)],
+        capture_output=True, text=True, timeout=120, cwd=src)
+    assert result.returncode == 1
+    err = result.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "support" in err[0]
+
+
 def test_bpsk_deep_takes_the_configured_channels(tmp_path, capsys,
                                                  monkeypatch):
     text = """
@@ -490,9 +573,10 @@ train_size = 256
     counts = []
     train_and_harden = harness._train_and_harden
 
-    def spy(scenario, bits, p, *args):
-        counts.append(p)
-        return train_and_harden(scenario, bits, p, *args)
+    def spy(*args):
+        result = train_and_harden(*args)
+        counts.append(result["channels"])
+        return result
 
     monkeypatch.setattr(harness, "_train_and_harden", spy)
     for config in (text, text.replace("channels = 2", "")):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taskquant import deep, io
+from taskquant import cli, deep, io
 from taskquant.errors import ConfigError
 from taskquant.linear_task import LinearTaskModel, design
 
@@ -86,3 +86,22 @@ def test_arbitrary_bytes_after_magic_are_config_errors(scratch, body):
     for load in (io.load_design, io.load_model):
         with pytest.raises(ConfigError):
             load(scratch)
+
+
+@pytest.mark.parametrize("empty", ["channels", "terms"])
+def test_degenerate_soft_quantizers_are_rejected(tmp_path, empty):
+    # a record with no quantizer channel, or no tanh term per channel
+    rng = np.random.default_rng(4)
+    net = deep.build_network(rng, 5, 2, 2, 4, rng.standard_normal((16, 5)),
+                             deep.TrainSettings())
+    qz = net.quantizer
+    cut = np.s_[:0] if empty == "channels" else np.s_[:, :0]
+    qz.outer, qz.shifts, qz.steepness = qz.outer[cut], qz.shifts[cut], qz.steepness[cut]
+    if empty == "channels":     # analog and digital layers thread through 0
+        net.analog = [deep.DenseLayer(np.zeros((0, 5)), np.zeros(0))]
+        net.digital = [deep.DenseLayer(np.zeros((2, 0)), np.zeros(2))]
+    path = tmp_path / "degenerate.tbq"
+    io.save_model(path, net)
+    with pytest.raises(ConfigError, match="at least one channel and term"):
+        io.load_model(path)
+    assert cli.main(["harden", "--model", str(path)]) == 1
