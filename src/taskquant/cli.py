@@ -51,23 +51,33 @@ def _cmd_design(args) -> int:
     return 0
 
 
+def _write_rows(rows, output):
+    """`rows` as CSV: to the file at `output`, announced in one line, or to
+    stdout when no output path is set."""
+    if output:
+        harness.save_csv(rows, output)
+        print(f"{len(rows)} rows written to {output}")
+    else:
+        harness.write_csv(rows, sys.stdout)
+
+
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
-    rows = [harness.simulate(cfg)]
-    harness.write_csv(rows, sys.stdout)
-    print(f"# wall_time_ms={rows[0].wall_time_ms:.1f}", file=sys.stderr)
-    if cfg.output:
-        harness.save_csv(rows, cfg.output)
+    row = harness.simulate(cfg)
+    _write_rows([row], cfg.output)
+    print(f"# wall_time_ms={row.wall_time_ms:.1f}", file=sys.stderr)
     return 0
 
 
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
-    rows = harness.sweep(cfg, verbose=True)
-    if not cfg.output:
-        harness.write_csv(rows, sys.stdout)
-    else:
-        print(f"{len(rows)} rows written to {cfg.output}")
+    rows = harness.sweep(cfg)
+    for row in rows[:len(cfg.grid)]:   # the bound rows follow the grid's
+        bits = row.realized_bits
+        budget = "" if bits is None else f" [realized {bits:g}/{row.axis:g} bits]"
+        print(f"{row.method} @ {row.axis:g}: {row.metric}={row.estimate:.6g} "
+              f"(se {row.std_error:.2g}){budget}", file=sys.stderr)
+    _write_rows(rows, cfg.output)
     return 0
 
 
@@ -76,12 +86,7 @@ def _cmd_bound(args) -> int:
     scenario = harness.build_scenario(cfg)
     if not cfg.grid:
         raise ConfigError("[sweep] grid: rate grid required for bound curves")
-    rows = [harness.bound_row(scenario, bits) for bits in cfg.grid]
-    if cfg.output:
-        harness.save_csv(rows, cfg.output)
-        print(f"{len(rows)} rows written to {cfg.output}")
-    else:
-        harness.write_csv(rows, sys.stdout)
+    _write_rows([harness.bound_row(scenario, bits) for bits in cfg.grid], cfg.output)
     return 0
 
 

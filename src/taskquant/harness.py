@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import configparser
 import math
-import sys
 import time
 import zlib
 from dataclasses import dataclass, field, replace
@@ -27,7 +26,6 @@ from .linear_task import (QuantizerDesign, _quantize, design, estimate,
                           fixed_combiner_design)
 from .hardware import PartialConnect, PhaseOnly, constrained_design
 from .quant import UniformQuantizerSpec
-from .scenarios import _BLOCK
 
 __all__ = [
     "CSV_HEADER",
@@ -66,6 +64,7 @@ class ResultRow:
     std_error: float
     trials: int
     wall_time_ms: float = 0.0
+    realized_bits: Optional[float] = None   # a rate row's realized budget
 
     def csv_line(self) -> str:
         return (f"{self.axis!r},{self.method},{self.metric},"
@@ -371,9 +370,10 @@ def pipeline(config: ExperimentConfig, scenario, bits: Optional[float] = None):
         des = fixed_combiner_design(combiner, model, levels, scale)
     des = replace(des, quantizer=replace(des.quantizer, dithered=config.dither))
     if method == "digital_only":
-        # A = I: the conditional draw would save little, so sample x itself
+        # A = I: the conditional draw would save little, so sample x itself,
+        # and x is already the combiner's output
         return des, realized, _squared_errors(scenario, lambda _, x, rng: estimate(
-            des, x, rng=rng))
+            des, x, rng=rng, combined=True))
     return des, realized, _design_errors(scenario, des)
 
 
@@ -502,6 +502,10 @@ class _Replay:
         return outputs
 
 
+# Trials of one Monte Carlo block
+_BLOCK = 8192
+
+
 def _monte_carlo_rows(blocks, trials: int, seed: int):
     """(mean, standard error, seconds) of each row's per-trial values.
 
@@ -605,10 +609,10 @@ def bound_row(scenario, bits: float) -> ResultRow:
                      estimate=indirect_drf(bound), std_error=0.0, trials=0)
 
 
-def sweep(config: ExperimentConfig, verbose: bool = False, scenario=None):
+def sweep(config: ExperimentConfig, scenario=None):
     """One row per grid point for the configured method, then bound rows for
-    Gaussian linear scenarios on rate sweeps. Writes CSV when an output path
-    is configured. A rate sweep builds its scenario unless given one.
+    Gaussian linear scenarios on rate sweeps. A rate sweep builds its
+    scenario unless given one.
 
     Each grid point builds its block function first (a design, a detector,
     or a network trained from its own (method, grid point) stream); then
@@ -661,18 +665,11 @@ def sweep(config: ExperimentConfig, verbose: bool = False, scenario=None):
     rows = [ResultRow(axis=value, method=config.method,
                       metric="mse" if rate else "ber", estimate=est,
                       std_error=se, trials=config.trials,
-                      wall_time_ms=(spent + seconds) * 1000.0)
-            for value, (est, se, seconds), spent in zip(config.grid, stats, setup)]
-    if verbose:
-        for row, bits in zip(rows, realized):
-            budget = "" if bits is None else f" [realized {bits:g}/{row.axis:g} bits]"
-            print(f"{row.method} @ {row.axis:g}: {row.metric}="
-                  f"{row.estimate:.6g} (se {row.std_error:.2g}){budget}",
-                  file=sys.stderr)
+                      wall_time_ms=(spent + seconds) * 1000.0, realized_bits=bits)
+            for value, (est, se, seconds), spent, bits
+            in zip(config.grid, stats, setup, realized)]
     if rate and scenario.kind == "linear":
         rows.extend(bound_row(scenario, value) for value in config.grid)
-    if config.output:
-        save_csv(rows, config.output)
     return rows
 
 
@@ -692,8 +689,7 @@ def simulate(config: ExperimentConfig) -> ResultRow:
         config = replace(config, support_scale_range=None,
                          support_scale=_support_scale_at(config, point))
     # bound rows follow the grid rows, so the first row is the point's own
-    return sweep(replace(config, grid=(point,), output=None),
-                 scenario=scenario)[0]
+    return sweep(replace(config, grid=(point,)), scenario=scenario)[0]
 
 
 def _ber_block(config: ExperimentConfig, point, bits: float, clean):

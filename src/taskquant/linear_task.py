@@ -336,9 +336,8 @@ def design(model: LinearTaskModel, channels: int, levels: int,
     input variance so one support fits all. support_scale is the number of
     per-channel standard deviations the support must cover.
     """
-    if channels < 1:
-        raise ValueError(f"channels must be >= 1, got {channels}")
     support, margin = overload_safe_support(support_scale, levels, channels)
+    spec = UniformQuantizerSpec(levels=levels, support=support, dithered=True)
     inv_root, whitened, sing, vt = model.factors
 
     gains, waterline = waterfill(sing, margin, levels, channels)
@@ -350,7 +349,6 @@ def design(model: LinearTaskModel, channels: int, levels: int,
     rotation = equalizing_rotation(power)
     analog = rotation @ (gains[:, None] * basis) @ inv_root
 
-    spec = UniformQuantizerSpec(levels=levels, support=support, dithered=True)
     # Wiener gain in the rotated water-filled coordinates: diagonal, cheap
     wiener = gains / (power + noise_variance(spec))
     wide = min(channels, model.n)

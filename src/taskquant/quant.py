@@ -35,6 +35,9 @@ class UniformQuantizerSpec:
     is a sign quantizer with output ``+-support/2``. `dithered` says whether
     the ADC adds non-subtractive uniform dither one cell wide before
     quantizing; pipelines and Monte Carlo rows dither exactly when it is set.
+    The support must be finite, and large enough that the noise variance
+    2 support^2 / (3 levels^2), which the water-fill divides by, is a
+    normal float.
     """
 
     levels: int
@@ -44,8 +47,13 @@ class UniformQuantizerSpec:
     def __post_init__(self):
         if int(self.levels) != self.levels or self.levels < 2:
             raise ValueError(f"levels must be an integer >= 2, got {self.levels}")
-        if not (math.isfinite(self.support) and self.support > 0):
-            raise ValueError(f"support must be positive and finite, got {self.support}")
+        # noise_variance's formula in products, not **, so a huge support
+        # reads inf here instead of raising OverflowError
+        support, levels = float(self.support), float(self.levels)
+        if not (0.0 < support < math.inf and 2.0 * support * support
+                / (3.0 * levels * levels) >= sys.float_info.min):
+            raise ValueError(f"support {self.support:g} is not finite, or too "
+                             f"small for a normal noise variance")
 
     @property
     def spacing(self) -> float:
@@ -173,9 +181,7 @@ def overload_safe_support(std_multiple: float, levels: int, channels: int):
         margin  = std_multiple^2 / (1 - std_multiple^2 / (3 levels^2))
         support = sqrt(margin / channels)
 
-    Returns (support, margin). Requires std_multiple^2 < 3 levels^2, and a
-    margin whose dither noise per unit power, 2 margin / (3 levels^2
-    channels), is a normal float: the water-fill divides by it.
+    Returns (support, margin). Requires std_multiple^2 < 3 levels^2.
     """
     if channels < 1:
         raise ValueError(f"channels must be >= 1, got {channels}")
@@ -185,9 +191,6 @@ def overload_safe_support(std_multiple: float, levels: int, channels: int):
         raise ValueError(
             f"std_multiple^2 = {m2:g} must be below 3 * levels^2 = {cap:g}")
     margin = m2 / (1.0 - m2 / cap)
-    if 2.0 * margin / (cap * channels) < sys.float_info.min:
-        raise ValueError(f"std_multiple = {std_multiple:g} is too small: its "
-                         f"margin underflows")
     support = math.sqrt(margin / channels)
     return support, margin
 

@@ -21,10 +21,6 @@ from .linear_task import LinearTaskModel
 from .quadratic_task import LiftedTaskModel, QuadraticTask, to_linear_model
 from .quant import UniformQuantizerSpec, _check_finite, _row_sections, _to_cells
 
-# Rows of one trial block: the harness's Monte Carlo block, and the largest
-# draw a sampler makes in one section.
-_BLOCK = 8192
-
 __all__ = [
     "ScenarioSpec",
     "isi_scenario",
@@ -95,16 +91,12 @@ class ScenarioSpec:
 
 
 def _draw_sections(*arrays):
-    """Matching row sections of `arrays`, in which a sampler draws: the
-    arrays whole for a draw of at most one block, as every trial block's is,
-    and `_row_sections` equal sections above, so a large training set holds
-    one small section of normals at a time. Draws split across calls equal
-    one call, and BLAS rounds a row alike in any section of two or more rows,
-    so a sectioned draw is the one-call draw byte for byte."""
-    count = arrays[0].shape[0]
-    if count <= _BLOCK:
-        return [arrays]
-    sections = _row_sections(count)
+    """Matching `_row_sections` equal row sections of `arrays`, in which a
+    sampler draws, so a large draw holds one small section of normals at a
+    time. Draws split across calls equal one call, and BLAS rounds a row
+    alike in any section of two or more rows, so a sectioned draw is the
+    one-call draw byte for byte."""
+    sections = _row_sections(arrays[0].shape[0])
     return zip(*(np.array_split(a, sections) for a in arrays))
 
 

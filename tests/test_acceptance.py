@@ -346,8 +346,8 @@ def test_criterion_11_reproducibility(tmp_path):
     for name in ("one.csv", "two.csv"):
         cfg = ExperimentConfig(scenario="isi", method="task_based",
                                grid=(8.0, 24.0), trials=2000, seed=1111,
-                               channels=8, output=str(tmp_path / name))
-        harness.sweep(cfg)
+                               channels=8)
+        harness.save_csv(harness.sweep(cfg), tmp_path / name)
         outputs.append((tmp_path / name).read_bytes())
     elapsed = time.perf_counter() - start
     ok = outputs[0] == outputs[1]

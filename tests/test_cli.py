@@ -91,6 +91,17 @@ def test_design_and_simulate(isi_config, tmp_path, capsys):
     assert printed[0] == "axis,method,metric,estimate,std_error,trials"
 
 
+def test_simulate_output_goes_to_the_file_alone(isi_config, tmp_path, capsys):
+    # like sweep and bound: the rows go to the file, stdout only says so
+    out = tmp_path / "row.csv"
+    assert cli.main(["simulate", "--config", str(isi_config), "--trials", "50",
+                     "--output", str(out)]) == 0
+    assert capsys.readouterr().out == f"1 rows written to {out}\n"
+    cfg = dataclasses.replace(harness.load_config(isi_config), trials=50)
+    expected = f"{harness.CSV_HEADER}\n{harness.simulate(cfg).csv_line()}\n"
+    assert out.read_bytes() == expected.encode()
+
+
 @pytest.mark.parametrize("dither", [True, False])
 def test_design_record_carries_the_config_dither(tmp_path, capsys, dither):
     # the TBQ1 flag follows the config, so re-simulating the saved design
@@ -209,7 +220,7 @@ def test_harden_requires_model(capsys):
 def test_numerical_failure_exits_two(isi_config, monkeypatch, capsys):
     from taskquant.errors import NumericalError
 
-    def boom(cfg, verbose=False):
+    def boom(cfg):
         raise NumericalError("synthetic blow-up", condition_number=1e18)
 
     monkeypatch.setattr(cli.harness, "sweep", boom)
@@ -312,6 +323,19 @@ def test_bound_rows_match_sweep_bound_rows(isi_config, tmp_path):
     ("sweep", {"support_scale = 4.0": "support_scale = 1e-160",
                "levels = 16": "constraint = phase_only",
                "method = task_based": "method = constrained"}, "too small"),
+    # a support whose noise variance underflows, on every kind of ADC spec
+    ("sweep", {"name = isi": "name = covariance",
+               "support_scale = 4.0": "support_scale = 1e-320",
+               "method = task_based": "method = digital_only"}, "too small"),
+    ("sweep", {"name = isi": "name = covariance",
+               "support_scale = 4.0": "support_scale = 1e-320",
+               "method = task_based": "method = mmse_then_quantize"}, "too small"),
+    ("sweep", {"name = isi": "name = bpsk", "axis = rate_bits": "axis = snr_db",
+               "grid = 8 16": "grid = 6 10", "support_scale = 4.0":
+               "support_scale = 1e-320", "method = task_based":
+               "method = quantized_map"}, "too small"),
+    ("sweep", {"method = task_based": "method = deep", "dither = true":
+               "[train]\nsupport_scale = 1e-320\ntrain_size = 256"}, "too small"),
     # the deep classifier's default ADC count follows its budget, so `levels`
     # alone sets no budget
     ("sweep", BPSK_DEEP_LEVELS, "[design] channels"),
@@ -330,7 +354,10 @@ def test_bound_rows_match_sweep_bound_rows(isi_config, tmp_path):
         "quantized-map-sub-bit-budget", "constrained-without-constraint",
         "bpsk-deep-on-the-rate-axis", "support-scale-1e-300",
         "support-scale-1e-160", "constrained-support-scale-1e-300",
-        "constrained-support-scale-1e-160", "bpsk-deep-levels-without-channels",
+        "constrained-support-scale-1e-160", "covariance-digital-only-support-1e-320",
+        "covariance-mmse-then-quantize-support-1e-320",
+        "quantized-map-support-1e-320", "deep-train-support-1e-320",
+        "bpsk-deep-levels-without-channels",
         "train-bpsk-deep-levels-without-channels"])
 def test_malformed_config_exits_one_with_one_line(tmp_path, capsys, command,
                                                   edits, named):

@@ -158,9 +158,8 @@ def test_sweep_is_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (out1, out2):
         cfg = ExperimentConfig(scenario="isi", method="task_based",
-                               grid=(8, 16), trials=400, seed=9, channels=8,
-                               output=str(path))
-        harness.sweep(cfg)
+                               grid=(8, 16), trials=400, seed=9, channels=8)
+        harness.save_csv(harness.sweep(cfg), path)
     assert out1.read_bytes() == out2.read_bytes()
     header = out1.read_text().splitlines()[0]
     assert header == "axis,method,metric,estimate,std_error,trials"
@@ -628,25 +627,6 @@ def test_shared_sample_rows_match_rows_that_sample_themselves(
     monkeypatch.setattr(harness._Replay, "sample",
                         lambda self, sampler, count: sampler(self, count))
     assert [row.csv_line() for row in harness.sweep(cfg)] == shared
-
-
-@pytest.mark.parametrize("make", [
-    scenarios.dft_pilot_scenario,
-    pytest.param(lambda: scenarios.bpsk_scenario(10.0), id="bpsk_scenario")])
-@pytest.mark.parametrize("count", [1000, harness._BLOCK])
-def test_block_sampler_draws_its_noise_in_one_call(monkeypatch, make, count):
-    # a trial block is one noise section: one (count, n) normal draw, no split
-    sc = make()
-
-    def no_split(*args, **kwargs):
-        raise AssertionError("a block-sized draw split its rows")
-
-    monkeypatch.setattr(np, "array_split", no_split)
-    draws = harness._Replay(np.random.default_rng(9))
-    draws.sample(sc.sampler, count)
-    normals = [call for call, _ in draws._draws if call[0] == "standard_normal"]
-    assert normals[-1] == ("standard_normal", (count, sc.n))
-    assert normals.count(normals[-1]) == 1
 
 
 def test_simulate_builds_its_scenario_once(monkeypatch):
