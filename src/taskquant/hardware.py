@@ -10,7 +10,7 @@ re-optimize the digital matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -213,13 +213,11 @@ def constrained_design(model: LinearTaskModel, constraint, channels: int,
                        levels: int, support_scale: float = 4.0) -> QuantizerDesign:
     """Design under a combiner feasibility constraint.
 
-    Projects the unconstrained combiner onto the feasible set, re-sizes the
-    support so the projected channels still overload rarely, and re-optimizes
-    the digital matrix. The excess MSE of the result can only be worse than
-    the unconstrained design's.
+    The fixed-combiner design of the unconstrained combiner's projection onto
+    the feasible set: the support is re-sized so the projected channels still
+    overload rarely, the digital matrix is re-optimized, and no water-fill is
+    kept. Its excess MSE can only be worse than the unconstrained design's.
     """
     base = design(model, channels, levels, support_scale)
-    projected = fixed_combiner_design(constraint.project(base.analog), model,
-                                      levels, support_scale)
-    return replace(projected, singular_values=base.singular_values,
-                   waterline=base.waterline)
+    return fixed_combiner_design(constraint.project(base.analog), model, levels,
+                                 support_scale)

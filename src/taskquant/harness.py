@@ -249,20 +249,24 @@ def _squared_errors(scenario, predict):
 
 
 def _design_errors(scenario, des: QuantizerDesign):
-    """Per-trial squared errors of a designed pipeline with its fixed combiner.
+    """Per-trial squared errors of a design, built or loaded, with its combiner.
 
     Gaussian linear scenarios draw only y = A x and score each trial by the
     task's conditional mean plus its closed-form residual (the same expected
     error, from p normals per trial instead of k + n, and with no more
-    variance), so the n-dimensional observation is never built; quadratic
-    scenarios draw x and evaluate the combiner rows as quadratic forms on it,
-    built once per row (`LiftedTaskModel.combiner`).
+    variance), so the n-dimensional observation is never built. An identity
+    combiner saves little that way, and x is already its output, so it samples
+    x. Quadratic scenarios draw x and evaluate the combiner rows as quadratic
+    forms on it, built once per row (`LiftedTaskModel.combiner`).
     """
     if scenario.kind == "quadratic":
         lifted = scenario.lifted
         combiner = lifted.combiner(des)
         return _squared_errors(scenario, lambda _, x, rng: lifted.estimate(
             des, x, rng=rng, combiner=combiner))
+    if np.array_equal(des.analog, np.eye(scenario.n)):
+        return _squared_errors(scenario, lambda _, x, rng: estimate(
+            des, x, rng=rng, combined=True))
     law = scenario.conditional_law(des.analog)
     _, mean_map, residual = law
 
@@ -369,11 +373,6 @@ def pipeline(config: ExperimentConfig, scenario, bits: Optional[float] = None):
                     else np.eye(model.n))
         des = fixed_combiner_design(combiner, model, levels, scale)
     des = replace(des, quantizer=replace(des.quantizer, dithered=config.dither))
-    if method == "digital_only":
-        # A = I: the conditional draw would save little, so sample x itself,
-        # and x is already the combiner's output
-        return des, realized, _squared_errors(scenario, lambda _, x, rng: estimate(
-            des, x, rng=rng, combined=True))
     return des, realized, _design_errors(scenario, des)
 
 
@@ -652,7 +651,7 @@ def sweep(config: ExperimentConfig, scenario=None):
         start = time.perf_counter()
         if deep_rows:
             block, bits = _deep_block(config, scenario, bits, derive_seed(
-                config.seed, config.method, idx), clean), None
+                config.seed, config.method, idx), clean)
         elif rate:
             _, bits, block = pipeline(config, scenario, bits)
         else:
@@ -712,16 +711,17 @@ def _ber_block(config: ExperimentConfig, point, bits: float, clean):
 
 
 def _deep_block(config: ExperimentConfig, scenario, bits: float, seed: int, clean):
-    """Block function of the network trained from `seed` on one grid point's
-    scenario at `bits`: per-trial bit error fractions of a classifier on the
-    sweep's noiseless draw `clean`, per-trial squared errors of an estimator
-    otherwise."""
-    hardened = _train_and_harden(scenario, bits, config.channels, config.train,
-                                 seed)["hardened"]
+    """(block function, realized bits) of the network trained from `seed` on
+    one grid point's scenario at `bits`: per-trial bit error fractions of a
+    classifier on the sweep's noiseless draw `clean`, with no realized bits
+    off the rate axis; per-trial squared errors of an estimator otherwise."""
+    result = _train_and_harden(scenario, bits, config.channels, config.train, seed)
+    hardened = result["hardened"]
     if scenario.kind == "classification":
         return _bit_error_fractions(lambda x: deep.classify(hardened, x),
-                                    scenario, clean)
-    return _squared_errors(scenario, lambda _, obs, rng: deep.forward(hardened, obs))
+                                    scenario, clean), None
+    return (_squared_errors(scenario, lambda _, obs, rng: deep.forward(hardened, obs)),
+            result["channels"] * math.log2(result["levels"]))
 
 
 def _train_and_harden(scenario, total_bits: float, channels: Optional[int],

@@ -36,8 +36,8 @@ _SYM_TOL = 1e-10
 _COND_LIMIT = 1e14
 
 
-def _frozen(a) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _frozen(a, order="K") -> np.ndarray:
+    a = np.array(a, dtype=float, order=order)
     a.flags.writeable = False
     return a
 
@@ -127,12 +127,13 @@ class QuantizerDesign:
     quantizer: UniformQuantizerSpec
     digital: np.ndarray
     predicted_excess_mse: float
-    singular_values: np.ndarray
-    waterline: float
+    singular_values: np.ndarray = ()    # a water-fill's; a fixed combiner has none
+    waterline: float = math.nan
 
     def __post_init__(self):
-        object.__setattr__(self, "analog", _frozen(self.analog))
-        object.__setattr__(self, "digital", _frozen(self.digital))
+        # C order, as a TBQ1 record loads: a saved design rounds its products alike
+        object.__setattr__(self, "analog", _frozen(self.analog, "C"))
+        object.__setattr__(self, "digital", _frozen(self.digital, "C"))
         object.__setattr__(self, "singular_values", _frozen(self.singular_values))
         if self.predicted_excess_mse < 0:
             raise ValueError("predicted_excess_mse must be nonnegative")
@@ -216,8 +217,7 @@ def fixed_combiner_design(analog, model: LinearTaskModel, levels: int,
     spec = UniformQuantizerSpec(levels=levels, support=support, dithered=True)
     predicted = max(_excess(model, cross, solved), 0.0)
     return QuantizerDesign(analog=analog, quantizer=spec, digital=solved.T,
-                           predicted_excess_mse=predicted,
-                           singular_values=(), waterline=float("nan"))
+                           predicted_excess_mse=predicted)
 
 
 def waterfill(singvals, margin: float, levels: int, channels: int):

@@ -33,8 +33,9 @@ dither = true
 """
 
 
-# partitions of isi's 120 antennas over its 8 configured ADCs: an owner
-# outside 0..7, ADC 7 idle, and ADC 3 idle
+# partitions of isi's 120 antennas over its 8 configured ADCs: a valid one,
+# an owner outside 0..7, ADC 7 idle, and ADC 3 idle
+OWNERS_MOD_8 = " ".join(str(j % 8) for j in range(120))
 OWNERS_MOD_9 = " ".join(str(j % 9) for j in range(120))
 OWNERS_MOD_7 = " ".join(str(j % 7) for j in range(120))
 OWNERS_NO_3 = " ".join(str((0, 1, 2, 4, 5, 6, 7)[j % 7]) for j in range(120))
@@ -102,22 +103,52 @@ def test_simulate_output_goes_to_the_file_alone(isi_config, tmp_path, capsys):
     assert out.read_bytes() == expected.encode()
 
 
+# edits to ISI_CFG for each method and scenario whose design `design` saves
+SAVED_DESIGNS = {
+    "isi-task_based": {},
+    "isi-phase_only": {"method = task_based": "method = constrained",
+                       "support_scale = 4.0": "support_scale = 4.0\n"
+                                              "constraint = phase_only"},
+    "isi-partial": {"method = task_based": "method = constrained",
+                    "support_scale = 4.0": "support_scale = 4.0\nconstraint = "
+                                           f"partial\npartition = {OWNERS_MOD_8}"},
+    "isi-mmse_then_quantize": {"method = task_based": "method = mmse_then_quantize"},
+    "isi-digital_only": {"method = task_based": "method = digital_only"},
+    "dft_pilot-task_based": {"name = isi": "name = dft_pilot"},
+    "dft_pilot-mmse_then_quantize": {"name = isi": "name = dft_pilot",
+                                     "method = task_based":
+                                         "method = mmse_then_quantize"},
+    "dft_pilot-digital_only": {"name = isi": "name = dft_pilot",
+                               "method = task_based": "method = digital_only"},
+    "covariance-task_based": {"name = isi": "name = covariance"},
+    "covariance-support_scale_range": {
+        "name = isi": "name = covariance", "grid = 8 16": "grid = 8 24",
+        "support_scale = 4.0": "support_scale_range = 2 6"},
+}
+
+
 @pytest.mark.parametrize("dither", [True, False])
-def test_design_record_carries_the_config_dither(tmp_path, capsys, dither):
-    # the TBQ1 flag follows the config, so re-simulating the saved design
-    # gives the `simulate` row byte for byte
-    path, out = tmp_path / "isi.cfg", tmp_path / "design.tbq"
-    path.write_text(ISI_CFG.replace("levels = 16", "levels = 4").replace(
+@pytest.mark.parametrize("case", sorted(SAVED_DESIGNS))
+def test_design_record_carries_the_config_dither(tmp_path, capsys, case, dither):
+    # the TBQ1 record holds the design the `simulate` row runs, dither flag and
+    # matrix layout included, so re-simulating the saved design gives the row
+    # byte for byte
+    text = ISI_CFG.replace("levels = 16", "levels = 4").replace(
         "trials = 400", "trials = 20000").replace(
-        "dither = true", f"dither = {str(dither).lower()}"))
+        "dither = true", f"dither = {str(dither).lower()}")
+    for old, new in SAVED_DESIGNS[case].items():
+        text = text.replace(old, new)
+    path, out = tmp_path / "saved.cfg", tmp_path / "design.tbq"
+    path.write_text(text)
     assert cli.main(["design", "--config", str(path),
                      "--output", str(out)]) == 0
     assert out.read_bytes()[21] == int(dither)       # the dither flag
     capsys.readouterr()
     assert cli.main(["simulate", "--config", str(path)]) == 0
     row = capsys.readouterr().out.splitlines()[1].split(",")
-    again = harness.simulate_mse(tbq.load_design(out), scenarios.isi_scenario(),
-                                 20000, harness.derive_seed(7, "task_based", 0))
+    cfg = harness.load_config(path)
+    again = harness.simulate_mse(tbq.load_design(out), harness.build_scenario(cfg),
+                                 20000, harness.derive_seed(7, cfg.method, 0))
     assert row[3:5] == [repr(again.estimate), repr(again.std_error)]
 
 
@@ -480,16 +511,25 @@ def test_design_builds_the_configured_method(tmp_path, capsys):
     ("mmse_then_quantize", 24, "scenario=isi channels=8 levels=8 "
      "support=3.52021 predicted_excess_mse=0.666328"),
     ("digital_only", 240, "scenario=isi channels=120 levels=4 "
-     "support=19.7547 predicted_excess_mse=2.14771")])
+     "support=19.7547 predicted_excess_mse=2.14771"),
+    ("constrained", 24, "scenario=isi channels=8 levels=8 support=1111.13 "
+     "predicted_excess_mse=2.87691")])
 def test_design_prints_a_waterline_only_when_the_design_has_one(
         tmp_path, capsys, method, bits, line):
-    # fixed-combiner designs carry no waterline, so the field is left out
+    # fixed-combiner designs, a projected one too, carry no waterline: the
+    # field is left out, and the record holds NaN and no singular values
     text = ISI_CFG.replace("method = task_based", f"method = {method}").replace(
         "dither = true", f"rate_bits = {bits}")
-    path = tmp_path / "waterline.cfg"
+    if method == "constrained":
+        text = text.replace("levels = 16", "constraint = phase_only")
+    path, out = tmp_path / "waterline.cfg", tmp_path / "design.tbq"
     path.write_text(text)
-    assert cli.main(["design", "--config", str(path)]) == 0
-    assert capsys.readouterr().out == line + "\n"
+    assert cli.main(["design", "--config", str(path), "--output", str(out)]) == 0
+    assert capsys.readouterr().out == f"{line}\ndesign written to {out}\n"
+    loaded = tbq.load_design(out)
+    water_filled = "waterline=" in line
+    assert np.isnan(loaded.waterline) != water_filled
+    assert (loaded.singular_values.size > 0) == water_filled
 
 
 @pytest.mark.parametrize("scenario, method", [

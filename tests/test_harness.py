@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import sys
 import tracemalloc
 
@@ -676,6 +677,16 @@ def test_deep_rows_run_the_sweeps_trials_on_its_draws():
         want = harness._monte_carlo(harness._squared_errors(
             sc, lambda _, obs, rng: deep.forward(net, obs)), rate.trials, draws)
         assert (row.estimate, row.std_error) == want
+
+
+def test_deep_rate_rows_report_their_realized_budget():
+    # like every rate row, each deep row carries the budget its net spends:
+    # 8 ADCs of 4 levels at 16 bits, of 5 levels at 20 bits
+    cfg = ExperimentConfig(scenario="isi", method="deep", grid=(16.0, 20.0),
+                           trials=100, seed=2, train=dataclasses.replace(
+                               _TINY_TRAINING, train_size=512))
+    rows = [r for r in harness.sweep(cfg) if r.method == "deep"]
+    assert [r.realized_bits for r in rows] == [16.0, 8 * math.log2(5)]
 
 
 @pytest.mark.parametrize("seed", [3, 11])
